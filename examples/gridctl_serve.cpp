@@ -232,8 +232,8 @@ int main(int argc, char** argv) {
         "max lag %.1f ms, step p~ %.0f us mean / %.0f us max\n",
         static_cast<unsigned long long>(stats.deadline_misses),
         static_cast<unsigned long long>(stats.degraded_steps),
-        stats.max_lag_s * 1e3, stats.step_wall_hist.mean_us(),
-        stats.step_wall_hist.max_us);
+        stats.max_lag_s * 1e3, result.telemetry.step_hist.mean_us(),
+        result.telemetry.step_hist.max_us);
     std::printf("checks   : %llu invariant checks, %llu violations\n",
                 static_cast<unsigned long long>(
                     result.telemetry.invariants.checks),

@@ -39,9 +39,9 @@ namespace {
 
 // Above this variable count, the transportation LP is solved by the
 // closed-form greedy below instead of the simplex (whose dense tableau
-// is (c + n) × (n·c) — gigabytes at fleet scale). Small problems keep
-// the simplex so its vertex solutions — which published trajectories
-// pin — are unchanged.
+// is (c + n) × (n·c) — gigabytes at fleet scale); the greedy also solves
+// every demand-charge problem. Small problems keep the simplex so its
+// vertex solutions — which published trajectories pin — are unchanged.
 constexpr std::size_t kGreedyGateVars = 4096;
 
 double unit_cost(const ReferenceProblem& problem, std::size_t j) {
@@ -55,63 +55,16 @@ double unit_cost(const ReferenceProblem& problem, std::size_t j) {
 }
 
 // The LP's cost on lambda_ij depends only on the IDC column j, so the
-// optimal per-IDC loads are the greedy fill of the cheapest IDCs up to
-// their caps, and the product-form split
+// optimal per-IDC loads are a greedy fill of per-IDC cost segments in
+// cost order, and the product-form split
 // lambda_ij = L_i · load_j / L_total meets both marginals exactly
 // (row sums L_i, column sums load_j). O(n·c) instead of a simplex run.
+// Without a peak shadow each IDC is one segment up to its cap at the
+// unit cost. With one (demand charges), load that fits under the running
+// billing-cycle peak keeps the plain unit cost and load above it pays
+// the shadow uplift (prices[j] + peak_shadow_per_mwh): the per-IDC cost
+// is piecewise-linear convex in the load, so the fill stays exact.
 solvers::LpResult solve_allocation_greedy(const ReferenceProblem& problem,
-                                          const std::vector<double>& caps) {
-  const std::size_t n = problem.idcs.size();
-  const std::size_t c = problem.portal_demands.size();
-  solvers::LpResult result;
-  result.x.assign(n * c, 0.0);
-
-  double total = 0.0;
-  for (double demand : problem.portal_demands) total += demand;
-  if (total <= 0.0) {
-    result.status = solvers::LpStatus::kOptimal;
-    return result;
-  }
-
-  std::vector<std::size_t> order(n);
-  for (std::size_t j = 0; j < n; ++j) order[j] = j;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return unit_cost(problem, a) < unit_cost(problem, b);
-                   });
-  std::vector<double> loads(n, 0.0);
-  double remaining = total;
-  double objective = 0.0;
-  for (const std::size_t j : order) {
-    const double take = std::min(caps[j], remaining);
-    if (take <= 0.0) continue;
-    loads[j] = take;
-    objective += unit_cost(problem, j) * take;
-    remaining -= take;
-    if (remaining <= 0.0) break;
-  }
-  if (remaining > 1e-9 * std::max(1.0, total)) {
-    result.status = solvers::LpStatus::kInfeasible;
-    return result;
-  }
-  for (std::size_t i = 0; i < c; ++i) {
-    const double share = problem.portal_demands[i] / total;
-    for (std::size_t j = 0; j < n; ++j) {
-      result.x[i * n + j] = share * loads[j];
-    }
-  }
-  result.status = solvers::LpStatus::kOptimal;
-  result.objective = objective;
-  return result;
-}
-
-// Demand-charge variant of the greedy: each IDC contributes two fill
-// segments — load that fits under the running billing-cycle peak at the
-// plain unit cost, and load above it at the shadow-uplifted cost
-// (prices[j] + peak_shadow_per_mwh). The per-IDC cost is piecewise-
-// linear convex in the load, so greedily filling the 2n segments in
-// cost order is exact, and the product-form split applies unchanged.
-solvers::LpResult solve_allocation_peaked(const ReferenceProblem& problem,
                                           const std::vector<double>& caps) {
   const std::size_t n = problem.idcs.size();
   const std::size_t c = problem.portal_demands.size();
@@ -133,11 +86,15 @@ solvers::LpResult solve_allocation_peaked(const ReferenceProblem& problem,
   std::vector<Segment> segments;
   segments.reserve(2 * n);
   for (std::size_t j = 0; j < n; ++j) {
+    const double base_cost = unit_cost(problem, j);
+    if (problem.peak_shadow_per_mwh == 0.0) {
+      segments.push_back({j, caps[j], base_cost});
+      continue;
+    }
     const double peak =
         problem.cycle_peak_w.empty() ? 0.0 : problem.cycle_peak_w[j];
     const double below =
         std::min(caps[j], load_cap_for_budget(problem.idcs[j], peak));
-    const double base_cost = unit_cost(problem, j);
     // The uplift scales with the same per-req/s factor as the price so
     // both cost bases rank the shadow consistently.
     const double uplift =
@@ -188,22 +145,13 @@ solvers::LpResult solve_allocation_lp(const ReferenceProblem& problem,
                                       const std::vector<double>& caps) {
   const std::size_t n = problem.idcs.size();
   const std::size_t c = problem.portal_demands.size();
-  if (problem.peak_shadow_per_mwh > 0.0) {
-    return solve_allocation_peaked(problem, caps);
+  if (problem.peak_shadow_per_mwh > 0.0 || n * c >= kGreedyGateVars) {
+    return solve_allocation_greedy(problem, caps);
   }
-  if (n * c >= kGreedyGateVars) return solve_allocation_greedy(problem, caps);
   solvers::LpProblem lp;
   lp.c.assign(n * c, 0.0);
   for (std::size_t i = 0; i < c; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto& idc = problem.idcs[j];
-      const double per_rps =
-          problem.basis == CostBasis::kPowerIntegral
-              ? idc.power.watts_per_rps() +
-                    idc.power.idle_w.value() / idc.power.service_rate.value()
-              : 1.0;
-      lp.c[i * n + j] = problem.prices[j] * per_rps;
-    }
+    for (std::size_t j = 0; j < n; ++j) lp.c[i * n + j] = unit_cost(problem, j);
   }
   lp.a_eq = Matrix(c, n * c);
   lp.b_eq.assign(c, 0.0);

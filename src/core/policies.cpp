@@ -1,5 +1,7 @@
 #include "core/policies.hpp"
 
+#include <utility>
+
 #include "control/reference_optimizer.hpp"
 #include "control/sleep_controller.hpp"
 #include "util/error.hpp"
@@ -32,22 +34,25 @@ PolicyDecision OptimalPolicy::decide(const PolicyContext& context) {
   return result;
 }
 
-MpcPolicy::MpcPolicy(CostController::Config config)
-    : controller_(std::move(config)) {}
-
-PolicyDecision MpcPolicy::decide(const PolicyContext& context) {
-  const auto decision =
-      controller_.step(context.prices, context.portal_demands);
+PolicyDecision to_policy_decision(CostController::Decision decision) {
   PolicyDecision result;
-  result.allocation = decision.allocation;
-  result.servers = decision.servers;
+  result.allocation = std::move(decision.allocation);
+  result.servers = std::move(decision.servers);
   result.solver = SolverTelemetry{decision.mpc_status, decision.mpc_iterations,
                                   decision.mpc_warm_started,
                                   decision.fallback_tier};
   result.invariants = decision.invariants;
-  result.battery_w = decision.battery_w;
-  result.battery_soc_j = decision.battery_soc_j;
+  result.battery_w = std::move(decision.battery_w);
+  result.battery_soc_j = std::move(decision.battery_soc_j);
   return result;
+}
+
+MpcPolicy::MpcPolicy(CostController::Config config)
+    : controller_(std::move(config)) {}
+
+PolicyDecision MpcPolicy::decide(const PolicyContext& context) {
+  return to_policy_decision(
+      controller_.step(context.prices, context.portal_demands));
 }
 
 StaticProportionalPolicy::StaticProportionalPolicy(

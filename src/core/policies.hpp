@@ -57,6 +57,10 @@ struct PolicyDecision {
   std::vector<double> battery_soc_j;
 };
 
+// The policy view of one CostController period: the applied move, the
+// solver diagnostics, the invariant counts and the battery dispatch.
+PolicyDecision to_policy_decision(CostController::Decision decision);
+
 class AllocationPolicy {
  public:
   virtual ~AllocationPolicy() = default;

@@ -12,8 +12,6 @@
 
 namespace gridctl::core {
 
-using datacenter::Fleet;
-
 CsvTable SimulationTrace::to_csv() const {
   CsvTable table;
   table.header.push_back("time_s");
@@ -173,182 +171,220 @@ SimulationSummary summarize_trace(const Scenario& scenario,
   return summary;
 }
 
+namespace {
+
+// Telemetry step timing only; the trajectory never reads it.
+using clock_type = std::chrono::steady_clock;  // lint: nondet-ok
+
+double seconds_between(clock_type::time_point a, clock_type::time_point b) {
+  return std::chrono::duration<double>(b - a).count();
+}
+
+const Scenario& validated(const Scenario& scenario) {
+  scenario.validate();
+  return scenario;
+}
+
+}  // namespace
+
+PeriodKernel::PeriodKernel(const Scenario& scenario, std::string policy_name)
+    : scenario_(validated(scenario)),
+      fleet_(scenario.idcs),
+      queues_(scenario.num_idcs()),
+      last_power_w_(scenario.num_idcs(), 0.0) {
+  const std::size_t n = scenario.num_idcs();
+  trace_.policy = std::move(policy_name);
+  trace_.ts_s = scenario.ts_s.value();
+  trace_.power_w.assign(n, {});
+  trace_.servers_on.assign(n, {});
+  trace_.idc_load_rps.assign(n, {});
+  trace_.price_per_mwh.assign(n, {});
+  trace_.latency_s.assign(n, {});
+  trace_.backlog_req.assign(n, {});
+  trace_.transient_delay_s.assign(n, {});
+  trace_.portal_rps.assign(scenario.num_portals(), {});
+  // Storage columns and the held SoC exist only when some IDC has a
+  // battery, so the no-storage trace layout (and CSV schema) is unchanged.
+  for (const auto& idc : scenario.idcs) {
+    if (idc.battery.present()) any_battery_ = true;
+  }
+  if (any_battery_) {
+    trace_.grid_power_w.assign(n, {});
+    trace_.battery_soc_j.assign(n, {});
+    grid_w_.assign(n, 0.0);
+    soc_j_.assign(n, 0.0);
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto& battery = scenario.idcs[j].battery;
+      if (battery.present()) {
+        soc_j_[j] = battery.initial_soc * battery.capacity.value();
+      }
+    }
+  }
+}
+
+std::vector<units::PricePerMwh> PeriodKernel::prices_at(units::Seconds t) const {
+  std::vector<units::PricePerMwh> prices(last_power_w_.size());
+  for (std::size_t j = 0; j < prices.size(); ++j) {
+    prices[j] = scenario_.prices->price(scenario_.idcs[j].region, t,
+                                        units::Watts{last_power_w_[j]});
+  }
+  return prices;
+}
+
+std::vector<units::Rps> PeriodKernel::demands_at(units::Seconds t) const {
+  // The workload module emits raw req/s series; type them at the edge.
+  return units::typed_vector<units::Rps>(scenario_.workload->rates(t.value()));
+}
+
+PolicyDecision PeriodKernel::warm_start(engine::RunTelemetry* telemetry) {
+  const auto begin = clock_type::now();
+  const units::Seconds t_prev = std::max(
+      units::Seconds::zero(), scenario_.start_time_s - units::Seconds{3600.0});
+  OptimalPolicy seed(scenario_.idcs, scenario_.num_portals(),
+                     scenario_.controller.cost_basis);
+  PolicyContext context;
+  context.time_s = t_prev;
+  context.prices = prices_at(t_prev);
+  context.portal_demands = demands_at(scenario_.start_time_s);
+  PolicyDecision initial = seed.decide(context);
+  fleet_.set_operating_point(initial.allocation, initial.servers);
+  last_power_w_ = units::raw_vector(fleet_.power_by_idc_w());
+  if (telemetry) {
+    telemetry->warm_start_s = seconds_between(begin, clock_type::now());
+  }
+  return initial;
+}
+
+void PeriodKernel::record_initial_row(
+    const std::vector<units::PricePerMwh>& prices,
+    const std::vector<units::Rps>& demands) {
+  record_step(trace_, fleet_, queues_, units::Seconds::zero(), prices, demands,
+              /*grid_power_w=*/{}, soc_j_);
+}
+
+void PeriodKernel::begin_period() { period_begin_ = clock_type::now(); }
+
+double PeriodKernel::advance(std::uint64_t step, const PolicyDecision& decision,
+                             const std::vector<units::PricePerMwh>& prices,
+                             const std::vector<units::Rps>& demands,
+                             engine::RunTelemetry* telemetry) {
+  const auto decide_end = clock_type::now();
+  const std::size_t n = fleet_.size();
+  const units::Seconds ts = scenario_.ts_s;
+  const units::Seconds t =
+      scenario_.start_time_s + static_cast<double>(step) * ts;
+
+  fleet_.set_operating_point(decision.allocation, decision.servers);
+  fleet_.advance(ts, prices);
+  for (std::size_t j = 0; j < n; ++j) {
+    last_power_w_[j] = fleet_.idc(j).power_w().value();
+  }
+  if (any_battery_) {
+    // Metered draw = realized IT power minus the battery dispatch,
+    // clamped at zero (a battery cannot push power into the grid).
+    // Demand-responsive price models then see the metered series.
+    for (std::size_t j = 0; j < n; ++j) {
+      const double dispatch =
+          decision.battery_w.empty() ? 0.0 : decision.battery_w[j];
+      grid_w_[j] = std::max(0.0, last_power_w_[j] - dispatch);
+      last_power_w_[j] = grid_w_[j];
+    }
+    if (!decision.battery_soc_j.empty()) soc_j_ = decision.battery_soc_j;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto& idc = fleet_.idc(j);
+    queues_[j].step(idc.assigned_load().value(),
+                    static_cast<double>(idc.servers_on()) *
+                        idc.config().power.service_rate.value(),
+                    ts.value());
+  }
+  const auto plant_end = clock_type::now();
+
+  record_step(trace_, fleet_, queues_, t - scenario_.start_time_s + ts, prices,
+              demands, grid_w_, soc_j_);
+  const auto step_end = clock_type::now();
+
+  const double step_wall_s = seconds_between(period_begin_, step_end);
+  if (telemetry) {
+    telemetry->policy_s += seconds_between(period_begin_, decide_end);
+    telemetry->plant_s += seconds_between(decide_end, plant_end);
+    telemetry->record_s += seconds_between(plant_end, step_end);
+    telemetry->step_hist.record(step_wall_s * 1e6);
+    if (decision.solver) {
+      telemetry->record_solver(decision.solver->status,
+                               decision.solver->iterations,
+                               decision.solver->warm_started,
+                               decision.solver->fallback_tier);
+    }
+    telemetry->record_invariants(decision.invariants);
+  }
+  return step_wall_s;
+}
+
+SimulationSummary PeriodKernel::summarize() const {
+  return summarize_trace(scenario_, trace_, fleet_, trace_.policy);
+}
+
+void PeriodKernel::restore(SimulationTrace trace,
+                           std::vector<double> last_power_w) {
+  trace_ = std::move(trace);
+  last_power_w_ = std::move(last_power_w);
+  for (std::size_t j = 0; j < soc_j_.size() && j < trace_.battery_soc_j.size();
+       ++j) {
+    if (!trace_.battery_soc_j[j].empty()) {
+      soc_j_[j] = trace_.battery_soc_j[j].back();
+    }
+  }
+}
+
 SimulationResult run_simulation(const Scenario& scenario,
                                 AllocationPolicy& policy,
                                 const SimulationOptions& options) {
-  // Telemetry step timing only; the trajectory never reads it.
-  using clock = std::chrono::steady_clock;  // lint: nondet-ok
-  const auto seconds_between = [](clock::time_point a, clock::time_point b) {
-    return std::chrono::duration<double>(b - a).count();
-  };
   engine::RunTelemetry* telemetry = options.telemetry;
-  const auto run_begin = clock::now();
+  const auto run_begin = clock_type::now();
 
-  scenario.validate();
+  PeriodKernel kernel(scenario, policy.name());
   const std::size_t n = scenario.num_idcs();
   const std::size_t c = scenario.num_portals();
   const std::size_t steps = scenario.num_steps();
 
-  Fleet fleet(scenario.idcs);
-
-  // Previous-step power per IDC, fed back into demand-responsive price
-  // models (zero before the first step).
-  std::vector<units::Watts> last_power(n, units::Watts::zero());
-
-  const auto prices_at = [&](units::Seconds t) {
-    std::vector<units::PricePerMwh> prices(n, units::PricePerMwh::zero());
-    for (std::size_t j = 0; j < n; ++j) {
-      prices[j] = scenario.prices->price(scenario.idcs[j].region, t,
-                                         last_power[j]);
-    }
-    return prices;
-  };
-  const auto demands_at = [&](units::Seconds t) {
-    // The workload module emits raw req/s series; type them at the edge.
-    return units::typed_vector<units::Rps>(scenario.workload->rates(t.value()));
-  };
-
   if (options.warm_start) {
-    // Converged operating point for the hour before the window, computed
-    // with the same cost basis the scenario's controller uses.
-    const units::Seconds t_prev = std::max(
-        units::Seconds::zero(), scenario.start_time_s - units::Seconds{3600.0});
-    OptimalPolicy seed(scenario.idcs, c, scenario.controller.cost_basis);
-    PolicyContext seed_context;
-    seed_context.time_s = t_prev;
-    seed_context.prices = prices_at(t_prev);
-    seed_context.portal_demands = demands_at(scenario.start_time_s);
-    const auto initial = seed.decide(seed_context);
-    fleet.set_operating_point(initial.allocation, initial.servers);
+    const PolicyDecision initial = kernel.warm_start(telemetry);
     if (auto* mpc = dynamic_cast<MpcPolicy*>(&policy)) {
       mpc->controller().reset_to(initial.allocation, initial.servers);
     }
-    last_power = fleet.power_by_idc_w();
-    if (telemetry) {
-      telemetry->warm_start_s = seconds_between(run_begin, clock::now());
-    }
   }
-
-  SimulationResult result;
-  SimulationTrace& trace = result.trace;
-  trace.policy = policy.name();
-  trace.ts_s = scenario.ts_s.value();
-  trace.power_w.assign(n, {});
-  trace.servers_on.assign(n, {});
-  trace.idc_load_rps.assign(n, {});
-  trace.price_per_mwh.assign(n, {});
-  trace.latency_s.assign(n, {});
-  trace.backlog_req.assign(n, {});
-  trace.transient_delay_s.assign(n, {});
-  trace.portal_rps.assign(c, {});
-
-  // Storage columns and running SoC, only when some IDC has a battery —
-  // the no-storage trace layout (and the CSV schema) is unchanged.
-  bool any_battery = false;
-  for (const auto& idc : scenario.idcs) {
-    if (idc.battery.present()) any_battery = true;
-  }
-  std::vector<double> last_soc_j;
-  if (any_battery) {
-    trace.grid_power_w.assign(n, {});
-    trace.battery_soc_j.assign(n, {});
-    last_soc_j.resize(n, 0.0);
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto& battery = scenario.idcs[j].battery;
-      if (battery.present()) {
-        last_soc_j[j] = battery.initial_soc * battery.capacity.value();
-      }
-    }
-  }
-
-  std::vector<datacenter::FluidQueue> queues(n);
-
-  const auto record = [&](units::Seconds window_time,
-                          const std::vector<units::PricePerMwh>& prices,
-                          const std::vector<units::Rps>& demands,
-                          const std::vector<double>& grid_w = {}) {
-    record_step(trace, fleet, queues, window_time, prices, demands, grid_w,
-                last_soc_j);
-  };
-
-  // Row 0 is the warm-start operating point (the pre-transition state),
-  // so policy-induced jumps at the window start are visible in the
-  // recorded series — the paper's figures plot the same way.
-  record(units::Seconds::zero(), prices_at(scenario.start_time_s),
-         demands_at(scenario.start_time_s));
+  kernel.record_initial_row(kernel.prices_at(scenario.start_time_s),
+                            kernel.demands_at(scenario.start_time_s));
 
   for (std::size_t k = 0; k < steps; ++k) {
-    const units::Seconds t =
-        scenario.start_time_s + static_cast<double>(k) * scenario.ts_s;
-    const auto step_begin = clock::now();
-
+    kernel.begin_period();
     PolicyContext context;
     context.step = k;
-    context.time_s = t;
-    context.prices = prices_at(t);
-    context.portal_demands = demands_at(t);
+    context.time_s =
+        scenario.start_time_s + static_cast<double>(k) * scenario.ts_s;
+    context.prices = kernel.prices_at(context.time_s);
+    context.portal_demands = kernel.demands_at(context.time_s);
 
     const PolicyDecision decision = policy.decide(context);
-    const auto decide_end = clock::now();
     require(decision.allocation.portals() == c &&
                 decision.allocation.idcs() == n,
             "run_simulation: policy returned wrong allocation shape");
-    fleet.set_operating_point(decision.allocation, decision.servers);
-    fleet.advance(scenario.ts_s, context.prices);
-    last_power = fleet.power_by_idc_w();
-    std::vector<double> grid_w;
-    if (any_battery) {
-      // Metered draw = realized IT power minus the policy's battery
-      // dispatch (clamped: a battery cannot push power into the grid).
-      // Demand-responsive price models then see the metered series.
-      grid_w.resize(n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const double dispatch =
-            decision.battery_w.empty() ? 0.0 : decision.battery_w[j];
-        grid_w[j] = std::max(0.0, last_power[j].value() - dispatch);
-        last_power[j] = units::Watts{grid_w[j]};
-      }
-      if (!decision.battery_soc_j.empty()) last_soc_j = decision.battery_soc_j;
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto& idc = fleet.idc(j);
-      queues[j].step(idc.assigned_load().value(),
-                     static_cast<double>(idc.servers_on()) *
-                         idc.config().power.service_rate.value(),
-                     scenario.ts_s.value());
-    }
-    const auto plant_end = clock::now();
-
-    record(t - scenario.start_time_s + scenario.ts_s, context.prices,
-           context.portal_demands, grid_w);
-
-    if (telemetry) {
-      const auto step_end = clock::now();
-      telemetry->policy_s += seconds_between(step_begin, decide_end);
-      telemetry->plant_s += seconds_between(decide_end, plant_end);
-      telemetry->record_s += seconds_between(plant_end, step_end);
-      telemetry->step_hist.record(seconds_between(step_begin, step_end) *
-                                  1e6);
-      if (decision.solver) {
-        telemetry->record_solver(decision.solver->status,
-                                 decision.solver->iterations,
-                                 decision.solver->warm_started,
-                                 decision.solver->fallback_tier);
-      }
-      telemetry->record_invariants(decision.invariants);
-    }
+    kernel.advance(k, decision, context.prices, context.portal_demands,
+                   telemetry);
   }
 
-  result.summary = summarize_trace(scenario, trace, fleet, policy.name());
-
+  SimulationResult result;
+  result.summary = kernel.summarize();
   if (telemetry) {
     telemetry->steps = steps;
-    telemetry->total_s = seconds_between(run_begin, clock::now());
+    telemetry->total_s = seconds_between(run_begin, clock_type::now());
   }
-  if (!options.record_trace) {
+  if (options.record_trace) {
+    result.trace = std::move(kernel.trace());
+  } else {
     // The summary above is computed from the full trace; the caller only
     // asked to keep the aggregates.
-    result.trace = SimulationTrace{};
     result.trace.policy = result.summary.policy;
     result.trace.ts_s = scenario.ts_s.value();
   }

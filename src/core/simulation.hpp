@@ -2,14 +2,17 @@
 // record everything the paper's figures plot.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/metrics.hpp"
 #include "core/policies.hpp"
 #include "core/scenario.hpp"
-#include "market/billing.hpp"
+#include "datacenter/fleet.hpp"
 #include "datacenter/fluid_queue.hpp"
+#include "market/billing.hpp"
 #include "util/csv.hpp"
 #include "util/units.hpp"
 
@@ -126,9 +129,8 @@ SimulationResult run_simulation(const Scenario& scenario,
                                 const SimulationOptions& options = {});
 
 // Append one per-step row to `trace` from the current fleet and
-// fluid-queue state. Shared by the batch simulation and the online
-// runtime (src/runtime) so both record byte-identical series. The
-// trailing storage vectors feed the grid_power_w / battery_soc_j
+// fluid-queue state; the period kernel records every row through it.
+// The trailing storage vectors feed the grid_power_w / battery_soc_j
 // columns when the trace carries them (an empty grid vector falls back
 // to the IDC's IT power, an empty SoC vector to zero).
 void record_step(SimulationTrace& trace, const datacenter::Fleet& fleet,
@@ -140,10 +142,84 @@ void record_step(SimulationTrace& trace, const datacenter::Fleet& fleet,
                  const std::vector<double>& battery_soc_j = {});
 
 // Compute the run summary from a completed trace and the final fleet
-// state. Shared by the batch simulation and the online runtime.
+// state.
 SimulationSummary summarize_trace(const Scenario& scenario,
                                   const SimulationTrace& trace,
                                   const datacenter::Fleet& fleet,
                                   const std::string& policy_name);
+
+// The plant half of the paper's control loop (Sec. IV), shared by
+// `run_simulation` and the online runtime (runtime::FleetSession). Each
+// sampling period the caller's policy picks lambda_ij and m_j between
+// `begin_period` and `advance`; the kernel then advances the fleet,
+// meters the grid draw, steps the fluid queues and records the period.
+// Because both drivers run this one implementation, the batch/runtime
+// bit-identity pins test a single code path.
+class PeriodKernel {
+ public:
+  // Validates `scenario`, which must outlive the kernel. The trace
+  // carries the storage columns only when some IDC has a battery.
+  PeriodKernel(const Scenario& scenario, std::string policy_name);
+
+  // The scenario's price and workload models read directly at `t`;
+  // demand-responsive prices see the metered power of the last period.
+  std::vector<units::PricePerMwh> prices_at(units::Seconds t) const;
+  std::vector<units::Rps> demands_at(units::Seconds t) const;
+
+  // Moves the fleet to the optimal operating point for the hour before
+  // the window, computed with the scenario controller's cost basis, and
+  // returns that decision so the caller can seed its controller with it.
+  // Stores its wall time in `telemetry->warm_start_s` (may be null).
+  PolicyDecision warm_start(engine::RunTelemetry* telemetry);
+
+  // Row 0: the pre-transition operating point, so policy-induced jumps
+  // at the window start are visible in the recorded series.
+  void record_initial_row(const std::vector<units::PricePerMwh>& prices,
+                          const std::vector<units::Rps>& demands);
+
+  // Marks the start of a period; its decide phase runs until `advance`.
+  void begin_period();
+
+  // Applies `decision` for period `step` and records it: operating
+  // point, plant advance, battery metering (the grid draw is IT power
+  // minus the dispatch, clamped at zero, and the held SoC is kept when
+  // the decision carries none), fluid-queue step, trace row, then the
+  // phase timings, step histogram, solver and invariant counters into
+  // `telemetry` (may be null). Returns the period's wall seconds since
+  // `begin_period`.
+  double advance(std::uint64_t step, const PolicyDecision& decision,
+                 const std::vector<units::PricePerMwh>& prices,
+                 const std::vector<units::Rps>& demands,
+                 engine::RunTelemetry* telemetry);
+
+  SimulationSummary summarize() const;
+
+  // Plant and recording state, read and written by checkpoint/restore.
+  datacenter::Fleet& fleet() { return fleet_; }
+  const datacenter::Fleet& fleet() const { return fleet_; }
+  std::vector<datacenter::FluidQueue>& queues() { return queues_; }
+  const std::vector<datacenter::FluidQueue>& queues() const { return queues_; }
+  SimulationTrace& trace() { return trace_; }
+  const SimulationTrace& trace() const { return trace_; }
+  // Metered (post-battery) power per IDC after the last period, watts.
+  const std::vector<double>& last_power_w() const { return last_power_w_; }
+
+  // Resume the recording state; the held SoC becomes the last one the
+  // trace recorded.
+  void restore(SimulationTrace trace, std::vector<double> last_power_w);
+
+ private:
+  const Scenario& scenario_;
+  datacenter::Fleet fleet_;
+  std::vector<datacenter::FluidQueue> queues_;
+  SimulationTrace trace_;
+  std::vector<double> last_power_w_;
+  bool any_battery_ = false;
+  // Storage only: held SoC per IDC and the period's metered grid draw.
+  std::vector<double> soc_j_;
+  std::vector<double> grid_w_;
+  // Telemetry timing only; the trajectory never reads it.
+  std::chrono::steady_clock::time_point period_begin_;  // lint: nondet-ok
+};
 
 }  // namespace gridctl::core

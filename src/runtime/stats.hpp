@@ -5,13 +5,15 @@
 //
 // Everything here is owned by the control thread; the checkpoint codec
 // (runtime/checkpoint.hpp) persists the deterministic counters so a
-// restored runtime's final report matches an uninterrupted run.
+// restored runtime's final report matches an uninterrupted run. Per-step
+// wall time lives in `engine::RunTelemetry::step_hist`.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
-#include "engine/telemetry.hpp"
+#include "util/json.hpp"
 
 namespace gridctl::runtime {
 
@@ -33,10 +35,6 @@ struct RuntimeStats {
   std::uint64_t degraded_steps = 0;   // periods served by the no-QP hold
   double max_lag_s = 0.0;             // worst pacing lag at a step start
   std::size_t max_queue_depth = 0;    // event-queue high-water mark
-
-  // Wall time per control step (decide + plant + record), microseconds —
-  // the same fixed-storage histogram the batch telemetry uses.
-  engine::StepTimingHistogram step_wall_hist;
 
   // JSON view (schema in docs/ARCHITECTURE.md).
   JsonValue to_json() const;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 #include "core/paper.hpp"
 #include "util/error.hpp"
@@ -162,6 +165,58 @@ TEST(ReferenceOptimizer, PaperSevenAmEndpoints) {
   EXPECT_NEAR(solution.idc_loads[2], 12000.0, 1.0);
   EXPECT_EQ(solution.servers[1], 40000u);
   EXPECT_EQ(solution.servers[0], 20000u);
+}
+
+TEST(ReferenceOptimizer, FleetScaleFillsCheapestFirst) {
+  // 64 IDCs x 64 portals = 4096 allocation variables: the fleet-scale
+  // closed-form fill, not the simplex. Prices come in tied pairs so the
+  // fill order also pins the index tie-break.
+  constexpr std::size_t kIdcs = 64;
+  constexpr std::size_t kPortals = 64;
+  ReferenceProblem problem;
+  problem.basis = CostBasis::kPriceOnly;
+  std::vector<double> caps(kIdcs);
+  for (std::size_t j = 0; j < kIdcs; ++j) {
+    const std::size_t servers = 1050 + 50 * (j % 3);
+    problem.idcs.push_back(idc_with(servers, 2.0, 0.01));
+    caps[j] = 2.0 * static_cast<double>(servers) - 100.0;  // n mu - 1/D
+    problem.prices.push_back(20.0 + static_cast<double>((j * 37) % 64 / 2));
+  }
+  problem.portal_demands.assign(kPortals, 510.0);
+  const double total = 510.0 * kPortals;
+
+  // Cheapest first, ties to the lower index, each IDC up to its cap.
+  std::vector<std::size_t> order(kIdcs);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return problem.prices[a] < problem.prices[b];
+  });
+  std::vector<double> expected(kIdcs, 0.0);
+  double remaining = total;
+  for (const std::size_t j : order) {
+    expected[j] = std::min(caps[j], remaining);
+    remaining -= expected[j];
+  }
+  ASSERT_EQ(remaining, 0.0);
+
+  const auto solution = solve_reference(problem);
+  ASSERT_TRUE(solution.feasible);
+  EXPECT_FALSE(solution.budgets_relaxed);
+  double cost_rate = 0.0;
+  for (std::size_t j = 0; j < kIdcs; ++j) {
+    EXPECT_NEAR(solution.idc_loads[j], expected[j], 1e-9) << "idc " << j;
+    EXPECT_LE(solution.idc_loads[j], caps[j] + 1e-9) << "idc " << j;
+    // Eq. 35 servers (m = lambda/mu + 1/(mu D), integral here) and
+    // P = 67.5 W per req/s + 150 W idle per server.
+    const double servers = expected[j] / 2.0 + 50.0;
+    EXPECT_EQ(solution.servers[j], static_cast<std::size_t>(servers));
+    cost_rate += problem.prices[j] * (67.5 * expected[j] + 150.0 * servers);
+  }
+  EXPECT_TRUE(solution.allocation.non_negative());
+  EXPECT_TRUE(solution.allocation.conserves(
+      std::vector<units::Rps>(kPortals, units::Rps{510.0})));
+  EXPECT_NEAR(solution.cost_rate_per_hour, cost_rate / 1e6,
+              1e-12 * cost_rate);
 }
 
 TEST(ReferenceOptimizer, Validation) {

@@ -345,6 +345,40 @@ TEST(Checkpoint, LegacySchemaOneCheckpointStillLoads) {
   EXPECT_TRUE(resumed.run().completed);
 }
 
+TEST(Checkpoint, StepWallHistKeyFromOlderWritersIsIgnored) {
+  // Writers of the same /3 schema used to persist a second copy of the
+  // per-step wall histogram under stats.step_wall_hist. Such a file
+  // still loads, and resumes exactly as an uninterrupted run.
+  const core::Scenario scenario = stateful_scenario();
+  ControlRuntime uninterrupted(scenario, RuntimeOptions{});
+  const RuntimeResult reference = uninterrupted.run();
+
+  RuntimeOptions partial;
+  partial.stop_after_step = 37;
+  ControlRuntime killed(scenario, partial);
+  killed.run();
+  const JsonValue modern = killed.checkpoint().to_json();
+  JsonValue::Object root = modern.as_object();
+  ASSERT_EQ(root.at("schema").as_string(), "gridctl.runtime.checkpoint/3");
+  JsonValue::Object stats = modern.at("stats").as_object();
+  stats["step_wall_hist"] = modern.at("telemetry").at("step_hist");
+  root["stats"] = JsonValue(std::move(stats));
+  const RuntimeCheckpoint older = RuntimeCheckpoint::from_json(
+      parse_json(dump_json(JsonValue(std::move(root)))));
+
+  ControlRuntime resumed(scenario, RuntimeOptions{}, older);
+  const RuntimeResult tail = resumed.run();
+  EXPECT_TRUE(tail.completed);
+  EXPECT_EQ(tail.summary.total_cost.value(),
+            reference.summary.total_cost.value());
+  EXPECT_EQ(tail.telemetry.step_hist.samples, scenario.num_steps());
+  expect_checkpoints_identical(resumed.checkpoint(),
+                               uninterrupted.checkpoint());
+  EXPECT_EQ(resumed.checkpoint().to_json().at("stats").as_object().count(
+                "step_wall_hist"),
+            0u);
+}
+
 TEST(Checkpoint, ValidationRejectsScenarioMismatch) {
   const core::Scenario scenario = stateful_scenario();
   RuntimeOptions partial;
