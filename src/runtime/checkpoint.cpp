@@ -14,7 +14,8 @@ JsonValue num(std::uint64_t v) { return JsonValue(static_cast<double>(v)); }
 
 std::uint64_t as_u64(const JsonValue& v) {
   const double d = v.as_number();
-  require(d >= 0.0 && d == std::floor(d),
+  // 2^64 bounds the cast: converting a larger double is undefined.
+  require(d >= 0.0 && d == std::floor(d) && d < 18446744073709551616.0,
           "checkpoint: expected a non-negative integer");
   return static_cast<std::uint64_t>(d);
 }
@@ -78,7 +79,10 @@ linalg::Matrix matrix_from_json(const JsonValue& json) {
   const auto rows = static_cast<std::size_t>(as_u64(json.at("rows")));
   const auto cols = static_cast<std::size_t>(as_u64(json.at("cols")));
   const std::vector<double> data = doubles_from_json(json.at("data"));
-  require(data.size() == rows * cols, "checkpoint: matrix data size mismatch");
+  // Divide rather than multiply: rows * cols can wrap and pass.
+  require(cols == 0 ? data.empty()
+                    : data.size() % cols == 0 && data.size() / cols == rows,
+          "checkpoint: matrix data size mismatch");
   linalg::Matrix m(rows, cols);
   for (std::size_t i = 0; i < data.size(); ++i) m.data()[i] = data[i];
   return m;

@@ -1,61 +1,95 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace gridctl {
 
-JsonValue::JsonValue(bool b) : type_(Type::kBool), bool_(b) {}
-JsonValue::JsonValue(double n) : type_(Type::kNumber), number_(n) {}
+namespace {
+// Target of the non-owning payload of null and bool values.
+constexpr char kScalarSentinel = 0;
+}  // namespace
+
+std::shared_ptr<void> JsonValue::sentinel_payload() noexcept {
+  // Aliasing an empty owner: non-null get(), no control block.
+  return std::shared_ptr<void>(std::shared_ptr<void>(),
+                               const_cast<char*>(&kScalarSentinel));
+}
+
+JsonValue::JsonValue(JsonValue&& other) noexcept
+    : scalar_(other.scalar_), payload_(std::move(other.payload_)) {
+  other.scalar_.tag = {Type::kNull, false};
+  other.payload_ = sentinel_payload();
+}
+
+JsonValue& JsonValue::operator=(JsonValue&& other) noexcept {
+  if (this != &other) {
+    scalar_ = other.scalar_;
+    payload_ = std::move(other.payload_);
+    other.scalar_.tag = {Type::kNull, false};
+    other.payload_ = sentinel_payload();
+  }
+  return *this;
+}
+
+JsonValue::JsonValue(bool b) : scalar_{.tag = {Type::kBool, b}} {}
+JsonValue::JsonValue(double n) : scalar_{.number = n}, payload_() {}
 JsonValue::JsonValue(std::string s)
-    : type_(Type::kString), string_(std::move(s)) {}
+    : scalar_{.tag = {Type::kString, false}},
+      payload_(std::make_shared<std::string>(std::move(s))) {}
 JsonValue::JsonValue(Array a)
-    : type_(Type::kArray), array_(std::make_shared<Array>(std::move(a))) {}
+    : scalar_{.tag = {Type::kArray, false}},
+      payload_(std::make_shared<Array>(std::move(a))) {}
 JsonValue::JsonValue(Object o)
-    : type_(Type::kObject), object_(std::make_shared<Object>(std::move(o))) {}
+    : scalar_{.tag = {Type::kObject, false}},
+      payload_(std::make_shared<Object>(std::move(o))) {}
 
 bool JsonValue::as_bool() const {
   require(is_bool(), "JsonValue: not a bool");
-  return bool_;
+  return scalar_.tag.flag;
 }
 
 double JsonValue::as_number() const {
   require(is_number(), "JsonValue: not a number");
-  return number_;
+  return scalar_.number;
 }
 
 const std::string& JsonValue::as_string() const {
   require(is_string(), "JsonValue: not a string");
-  return string_;
+  return *static_cast<const std::string*>(payload_.get());
 }
 
 const JsonValue::Array& JsonValue::as_array() const {
   require(is_array(), "JsonValue: not an array");
-  return *array_;
+  return *static_cast<const Array*>(payload_.get());
 }
 
 const JsonValue::Object& JsonValue::as_object() const {
   require(is_object(), "JsonValue: not an object");
-  return *object_;
+  return *static_cast<const Object*>(payload_.get());
 }
 
 const JsonValue& JsonValue::at(const std::string& key) const {
   const JsonValue* value = get(key);
-  require(value != nullptr, "JsonValue: missing key '" + key + "'");
+  if (value == nullptr) {
+    throw InvalidArgument("JsonValue: missing key '" + key + "'");
+  }
   return *value;
 }
 
 const JsonValue* JsonValue::get(const std::string& key) const {
   if (!is_object()) return nullptr;
-  const auto it = object_->find(key);
-  return it == object_->end() ? nullptr : &it->second;
+  const Object& object = *static_cast<const Object*>(payload_.get());
+  const auto it = object.find(key);
+  return it == object.end() ? nullptr : &it->second;
 }
 
 double JsonValue::number_or(const std::string& key, double fallback) const {
@@ -91,14 +125,16 @@ class Parser {
   JsonValue parse_document() {
     JsonValue value = parse_value();
     skip_whitespace();
-    require(pos_ == text_.size(), error("trailing characters"));
+    if (pos_ != text_.size()) fail("trailing characters");
     return value;
   }
 
  private:
-  std::string error(const std::string& what) const {
+  // Every error goes through here, so the scan for the line and column
+  // runs once, on the throw path, instead of on every check.
+  [[noreturn]] void fail_at(std::size_t at, const std::string& what) const {
     std::size_t line = 1, column = 1;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+    for (std::size_t i = 0; i < at && i < text_.size(); ++i) {
       if (text_[i] == '\n') {
         ++line;
         column = 1;
@@ -106,8 +142,11 @@ class Parser {
         ++column;
       }
     }
-    return format("json: %s at %zu:%zu", what.c_str(), line, column);
+    throw InvalidArgument(
+        format("json: %s at %zu:%zu", what.c_str(), line, column));
   }
+
+  [[noreturn]] void fail(const std::string& what) const { fail_at(pos_, what); }
 
   void skip_whitespace() {
     while (pos_ < text_.size() &&
@@ -119,12 +158,15 @@ class Parser {
 
   char peek() {
     skip_whitespace();
-    require(pos_ < text_.size(), error("unexpected end of input"));
+    if (pos_ >= text_.size()) fail("unexpected end of input");
     return text_[pos_];
   }
 
+  // A missing token is reported where the parser stood before skipping
+  // the whitespace in front of it.
   void expect(char c) {
-    require(peek() == c, error(std::string("expected '") + c + "'"));
+    const std::size_t at = pos_;
+    if (peek() != c) fail_at(at, std::string("expected '") + c + "'");
     ++pos_;
   }
 
@@ -138,17 +180,17 @@ class Parser {
   }
 
   void expect_literal(const std::string& literal) {
-    require(text_.compare(pos_, literal.size(), literal) == 0,
-            error("invalid literal"));
+    if (text_.compare(pos_, literal.size(), literal) != 0) {
+      fail("invalid literal");
+    }
     pos_ += literal.size();
   }
 
   JsonValue parse_value() {
     switch (peek()) {
       case '{':
-        return parse_object();
       case '[':
-        return parse_array();
+        return parse_container();
       case '"':
         return JsonValue(parse_string());
       case 't':
@@ -165,15 +207,28 @@ class Parser {
     }
   }
 
+  JsonValue parse_container() {
+    if (depth_ == kJsonMaxDepth) {
+      fail(format("nesting deeper than %zu", kJsonMaxDepth));
+    }
+    ++depth_;
+    JsonValue value = text_[pos_] == '{' ? parse_object() : parse_array();
+    --depth_;
+    return value;
+  }
+
   JsonValue parse_object() {
     expect('{');
     JsonValue::Object object;
     if (try_consume('}')) return JsonValue(std::move(object));
     while (true) {
-      require(peek() == '"', error("expected object key"));
+      const std::size_t at = pos_;
+      if (peek() != '"') fail_at(at, "expected object key");
       std::string key = parse_string();
       expect(':');
-      object[std::move(key)] = parse_value();
+      // Writers emit sorted keys, so the end() hint makes each insert
+      // O(1); a repeated key overwrites (last key wins).
+      object.insert_or_assign(object.end(), std::move(key), parse_value());
       if (try_consume('}')) break;
       expect(',');
     }
@@ -196,14 +251,14 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      require(pos_ < text_.size(), error("unterminated string"));
+      if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') break;
       if (c != '\\') {
         out.push_back(c);
         continue;
       }
-      require(pos_ < text_.size(), error("unterminated escape"));
+      if (pos_ >= text_.size()) fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
         case '"': out.push_back('"'); break;
@@ -215,7 +270,7 @@ class Parser {
         case 'r': out.push_back('\r'); break;
         case 't': out.push_back('\t'); break;
         case 'u': {
-          require(pos_ + 4 <= text_.size(), error("truncated \\u escape"));
+          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
             const char h = text_[pos_++];
@@ -227,7 +282,7 @@ class Parser {
             } else if (h >= 'A' && h <= 'F') {
               code |= static_cast<unsigned>(h - 'A' + 10);
             } else {
-              throw InvalidArgument(error("invalid \\u escape"));
+              fail("invalid \\u escape");
             }
           }
           // UTF-8 encode (BMP only).
@@ -244,12 +299,15 @@ class Parser {
           break;
         }
         default:
-          throw InvalidArgument(error("invalid escape"));
+          fail("invalid escape");
       }
     }
     return out;
   }
 
+  // The token is the longest run of number characters; it is valid when
+  // strtod consumes exactly that run (which admits a leading '+', as it
+  // always has) and the value is finite.
   JsonValue parse_number() {
     skip_whitespace();
     const std::size_t start = pos_;
@@ -260,17 +318,27 @@ class Parser {
             text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-    require(pos_ > start, error("expected a value"));
-    const std::string token = text_.substr(start, pos_ - start);
+    if (pos_ == start) fail("expected a value");
+    const std::size_t length = pos_ - start;
     char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    require(end == token.c_str() + token.size() && std::isfinite(value),
-            error("malformed number '" + token + "'"));
+    double value = std::strtod(text_.c_str() + start, &end);
+    bool whole = end == text_.c_str() + pos_;
+    if (end > text_.c_str() + pos_) {
+      // strtod read on past the token ("0x1p3", "-inf"); judge the
+      // token by itself.
+      const std::string token = text_.substr(start, length);
+      value = std::strtod(token.c_str(), &end);
+      whole = end == token.c_str() + length;
+    }
+    if (!whole || !std::isfinite(value)) {
+      fail("malformed number '" + text_.substr(start, length) + "'");
+    }
     return JsonValue(value);
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace
@@ -316,14 +384,29 @@ void append_number(double value, std::string& out) {
     out += "null";  // JSON has no inf/nan spelling
     return;
   }
-  // Shortest decimal that parses back to the same double: try increasing
-  // precision until the round trip is exact (17 digits always is).
+  // The bytes are those of "%.*g" at the smallest precision that parses
+  // back to the same double. No precision below the digit count of the
+  // shortest round-trip scientific form can round-trip, so the search
+  // starts there and nearly always stops at once (17 digits always
+  // round-trip). The plain (non-scientific) shortest form is no such
+  // bound: it pads large integers with zeros that are not significant.
   char buffer[32];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
+  char* const last = buffer + sizeof(buffer);
+  std::to_chars_result printed =
+      std::to_chars(buffer, last, value, std::chars_format::scientific);
+  int precision = 0;
+  for (const char* c = buffer; c != printed.ptr && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++precision;
   }
-  out += buffer;
+  for (;; ++precision) {
+    printed = std::to_chars(buffer, last, value, std::chars_format::general,
+                            precision);
+    double parsed = 0.0;
+    const std::from_chars_result back =
+        std::from_chars(buffer, printed.ptr, parsed);
+    if (precision >= 17 || (back.ec == std::errc() && parsed == value)) break;
+  }
+  out.append(buffer, printed.ptr);
 }
 
 void dump_value(const JsonValue& value, int indent, int depth,

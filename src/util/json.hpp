@@ -1,16 +1,29 @@
 // Minimal JSON parser (RFC 8259 subset) for scenario configuration
-// files. Recursive descent, value-semantic tree, precise error
-// positions. Supported: objects, arrays, strings (with \uXXXX for the
-// BMP), numbers (as double), true/false/null. Not supported: surrogate
-// pairs, duplicate-key detection (last key wins).
+// files, runtime checkpoints and reports. Recursive descent,
+// value-semantic tree, precise error positions. Supported: objects,
+// arrays, strings (with \uXXXX for the BMP), numbers (as double),
+// true/false/null. Not supported: surrogate pairs, duplicate-key
+// detection (last key wins).
+//
+// Cost: parsing and writing are linear in the text. The line:column of
+// a parse error is computed only when the error is thrown. Nesting is
+// capped at kJsonMaxDepth arrays/objects so hostile input ends in
+// InvalidArgument instead of a stack overflow. A JsonValue is a 24-byte
+// node (one per number of a checkpoint); strings, arrays and objects
+// live behind one shared, immutable payload.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace gridctl {
+
+// Deepest nest of arrays/objects parse_json accepts (real documents
+// nest fewer than 10 levels).
+inline constexpr std::size_t kJsonMaxDepth = 512;
 
 class JsonValue {
  public:
@@ -20,19 +33,24 @@ class JsonValue {
   using Object = std::map<std::string, JsonValue>;
 
   JsonValue() = default;                      // null
+  JsonValue(const JsonValue&) = default;
+  JsonValue& operator=(const JsonValue&) = default;
+  // A moved-from value is null.
+  JsonValue(JsonValue&& other) noexcept;
+  JsonValue& operator=(JsonValue&& other) noexcept;
   explicit JsonValue(bool b);
   explicit JsonValue(double n);
   explicit JsonValue(std::string s);
   explicit JsonValue(Array a);
   explicit JsonValue(Object o);
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  Type type() const { return payload_ ? scalar_.tag.type : Type::kNumber; }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return !payload_; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
   // Typed accessors; throw InvalidArgument on type mismatch.
   bool as_bool() const;
@@ -55,16 +73,29 @@ class JsonValue {
   std::vector<double> number_array(const std::string& key) const;
 
  private:
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::shared_ptr<Array> array_;
-  std::shared_ptr<Object> object_;
+  // Numbers keep their value in `scalar_.number` and an empty
+  // `payload_`. Every other type keeps its tag (and a bool its value)
+  // in `scalar_.tag` and a non-empty `payload_`: the std::string, Array
+  // or Object it shares, or for null and bool a non-owning pointer to
+  // a static sentinel (no control block, so copying it costs no
+  // reference count).
+  struct Tag {
+    Type type;
+    bool flag;
+  };
+  union Scalar {
+    double number;
+    Tag tag;
+  };
+  static std::shared_ptr<void> sentinel_payload() noexcept;
+
+  Scalar scalar_{.tag = {Type::kNull, false}};
+  std::shared_ptr<void> payload_ = sentinel_payload();
 };
 
 // Parse a complete JSON document; throws InvalidArgument with
-// line:column on malformed input or trailing garbage.
+// line:column on malformed input, trailing garbage or nesting deeper
+// than kJsonMaxDepth.
 JsonValue parse_json(const std::string& text);
 JsonValue parse_json_file(const std::string& path);
 
