@@ -193,24 +193,24 @@ PeriodKernel::PeriodKernel(const Scenario& scenario, std::string policy_name)
       queues_(scenario.num_idcs()),
       last_power_w_(scenario.num_idcs(), 0.0) {
   const std::size_t n = scenario.num_idcs();
-  trace_.policy = std::move(policy_name);
-  trace_.ts_s = scenario.ts_s.value();
-  trace_.power_w.assign(n, {});
-  trace_.servers_on.assign(n, {});
-  trace_.idc_load_rps.assign(n, {});
-  trace_.price_per_mwh.assign(n, {});
-  trace_.latency_s.assign(n, {});
-  trace_.backlog_req.assign(n, {});
-  trace_.transient_delay_s.assign(n, {});
-  trace_.portal_rps.assign(scenario.num_portals(), {});
+  trace_->policy = std::move(policy_name);
+  trace_->ts_s = scenario.ts_s.value();
+  trace_->power_w.assign(n, {});
+  trace_->servers_on.assign(n, {});
+  trace_->idc_load_rps.assign(n, {});
+  trace_->price_per_mwh.assign(n, {});
+  trace_->latency_s.assign(n, {});
+  trace_->backlog_req.assign(n, {});
+  trace_->transient_delay_s.assign(n, {});
+  trace_->portal_rps.assign(scenario.num_portals(), {});
   // Storage columns and the held SoC exist only when some IDC has a
   // battery, so the no-storage trace layout (and CSV schema) is unchanged.
   for (const auto& idc : scenario.idcs) {
     if (idc.battery.present()) any_battery_ = true;
   }
   if (any_battery_) {
-    trace_.grid_power_w.assign(n, {});
-    trace_.battery_soc_j.assign(n, {});
+    trace_->grid_power_w.assign(n, {});
+    trace_->battery_soc_j.assign(n, {});
     grid_w_.assign(n, 0.0);
     soc_j_.assign(n, 0.0);
     for (std::size_t j = 0; j < n; ++j) {
@@ -258,7 +258,7 @@ PolicyDecision PeriodKernel::warm_start(engine::RunTelemetry* telemetry) {
 void PeriodKernel::record_initial_row(
     const std::vector<units::PricePerMwh>& prices,
     const std::vector<units::Rps>& demands) {
-  record_step(trace_, fleet_, queues_, units::Seconds::zero(), prices, demands,
+  record_step(trace(), fleet_, queues_, units::Seconds::zero(), prices, demands,
               /*grid_power_w=*/{}, soc_j_);
 }
 
@@ -300,7 +300,7 @@ double PeriodKernel::advance(std::uint64_t step, const PolicyDecision& decision,
   }
   const auto plant_end = clock_type::now();
 
-  record_step(trace_, fleet_, queues_, t - scenario_.start_time_s + ts, prices,
+  record_step(trace(), fleet_, queues_, t - scenario_.start_time_s + ts, prices,
               demands, grid_w_, soc_j_);
   const auto step_end = clock_type::now();
 
@@ -322,17 +322,31 @@ double PeriodKernel::advance(std::uint64_t step, const PolicyDecision& decision,
 }
 
 SimulationSummary PeriodKernel::summarize() const {
-  return summarize_trace(scenario_, trace_, fleet_, trace_.policy);
+  return summarize_trace(scenario_, *trace_, fleet_, trace_->policy);
+}
+
+SimulationTrace& PeriodKernel::trace() {
+  if (trace_shared_) {
+    trace_ = std::make_shared<SimulationTrace>(*trace_);
+    trace_shared_ = false;
+  }
+  return *trace_;
+}
+
+std::shared_ptr<const SimulationTrace> PeriodKernel::share_trace() const {
+  trace_shared_ = true;
+  return trace_;
 }
 
 void PeriodKernel::restore(SimulationTrace trace,
                            std::vector<double> last_power_w) {
-  trace_ = std::move(trace);
+  trace_ = std::make_shared<SimulationTrace>(std::move(trace));
+  trace_shared_ = false;
   last_power_w_ = std::move(last_power_w);
-  for (std::size_t j = 0; j < soc_j_.size() && j < trace_.battery_soc_j.size();
+  for (std::size_t j = 0; j < soc_j_.size() && j < trace_->battery_soc_j.size();
        ++j) {
-    if (!trace_.battery_soc_j[j].empty()) {
-      soc_j_[j] = trace_.battery_soc_j[j].back();
+    if (!trace_->battery_soc_j[j].empty()) {
+      soc_j_[j] = trace_->battery_soc_j[j].back();
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,9 @@ class PeriodKernel {
   // Validates `scenario`, which must outlive the kernel. The trace
   // carries the storage columns only when some IDC has a battery.
   PeriodKernel(const Scenario& scenario, std::string policy_name);
+  // Not copyable: a copy would share the trace storage with this kernel.
+  PeriodKernel(const PeriodKernel&) = delete;
+  PeriodKernel& operator=(const PeriodKernel&) = delete;
 
   // The scenario's price and workload models read directly at `t`;
   // demand-responsive prices see the metered power of the last period.
@@ -199,8 +203,14 @@ class PeriodKernel {
   const datacenter::Fleet& fleet() const { return fleet_; }
   std::vector<datacenter::FluidQueue>& queues() { return queues_; }
   const std::vector<datacenter::FluidQueue>& queues() const { return queues_; }
-  SimulationTrace& trace() { return trace_; }
-  const SimulationTrace& trace() const { return trace_; }
+  const SimulationTrace& trace() const { return *trace_; }
+  // Mutable access. The first one after share_trace() copies the trace
+  // (copy-on-write), so a shared snapshot never changes.
+  SimulationTrace& trace();
+  // The trace so far as a read-only snapshot. It shares the kernel's
+  // storage, so a run result does not hold a second copy of a day-long
+  // trace while the kernel is alive.
+  std::shared_ptr<const SimulationTrace> share_trace() const;
   // Metered (post-battery) power per IDC after the last period, watts.
   const std::vector<double>& last_power_w() const { return last_power_w_; }
 
@@ -212,7 +222,8 @@ class PeriodKernel {
   const Scenario& scenario_;
   datacenter::Fleet fleet_;
   std::vector<datacenter::FluidQueue> queues_;
-  SimulationTrace trace_;
+  std::shared_ptr<SimulationTrace> trace_ = std::make_shared<SimulationTrace>();
+  mutable bool trace_shared_ = false;  // a share_trace() snapshot exists
   std::vector<double> last_power_w_;
   bool any_battery_ = false;
   // Storage only: held SoC per IDC and the period's metered grid draw.

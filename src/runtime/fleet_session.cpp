@@ -229,8 +229,9 @@ void FleetSession::execute_step(std::uint64_t step) {
     progress.step = next_step_;
     progress.total_steps = scenario_.num_steps();
     progress.event_time_s = t + ts;
-    progress.total_power_w = kernel_.trace().total_power_w.back();
-    progress.cumulative_cost = kernel_.trace().cumulative_cost.back();
+    const core::SimulationTrace& trace = std::as_const(kernel_).trace();
+    progress.total_power_w = trace.total_power_w.back();
+    progress.cumulative_cost = trace.cumulative_cost.back();
     progress.lag_s = lag_s(t + ts);
     progress.deadline_misses = stats_.deadline_misses;
     progress.degraded_steps = stats_.degraded_steps;
@@ -249,7 +250,7 @@ RuntimeResult FleetSession::finish(bool completed, double wall_s) {
   result.telemetry = telemetry_;
   result.stats = stats_;
   if (options_.record_trace) {
-    result.trace = std::make_shared<core::SimulationTrace>(kernel_.trace());
+    result.trace = kernel_.share_trace();
   }
   result.completed = completed;
   return result;

@@ -50,6 +50,9 @@ struct QpResult {
   std::size_t iterations = 0;
   double primal_residual = 0.0;
   double dual_residual = 0.0;
+  // ADMM only: the step-size ladder rung the solve ended on,
+  // ρ = 10^(rho_rung/2) (see rho_ladder.hpp).
+  int rho_rung = 0;
 };
 
 }  // namespace gridctl::solvers

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "linalg/cholesky.hpp"
+#include "solvers/rho_ladder.hpp"
 #include "util/error.hpp"
 
 namespace gridctl::solvers {
@@ -39,6 +41,23 @@ double QpProblem::max_violation(const Vector& x) const {
   return worst;
 }
 
+void AdmmOptions::validate() const {
+  require(rho > 0.0, "AdmmOptions: rho must be > 0 (got " +
+                         std::to_string(rho) + ")");
+  require(rho_rung_of(rho).has_value(),
+          "AdmmOptions: rho must be a step-size ladder rung 10^(k/2), "
+          "k in [-6, 6], e.g. 0.1 or 1 (got " +
+              std::to_string(rho) + ")");
+  require(rho_eq_scale > 0.0, "AdmmOptions: rho_eq_scale must be > 0 (got " +
+                                  std::to_string(rho_eq_scale) + ")");
+  require(sigma > 0.0, "AdmmOptions: sigma must be > 0 (got " +
+                           std::to_string(sigma) + ")");
+  require(alpha > 0.0 && alpha < 2.0,
+          "AdmmOptions: alpha must lie in (0, 2) (got " +
+              std::to_string(alpha) + ")");
+  require(check_interval > 0, "AdmmOptions: check_interval must be >= 1");
+}
+
 namespace {
 
 struct Residuals {
@@ -46,19 +65,18 @@ struct Residuals {
   double dual = 0.0;
   double eps_primal = 0.0;
   double eps_dual = 0.0;
+  RhoBalance balance;
 };
 
-Residuals compute_residuals(const QpProblem& prob, const Vector& x,
-                            const Vector& z, const Vector& y,
+// `at` is Aᵀ, built once per solve.
+Residuals compute_residuals(const QpProblem& prob, const Matrix& at,
+                            const Vector& x, const Vector& z, const Vector& y,
                             const AdmmOptions& opt) {
   Residuals res;
   const Vector ax = prob.num_constraints() ? prob.a * x : Vector{};
   const Vector px = prob.p * x;
   Vector aty(x.size(), 0.0);
-  if (prob.num_constraints()) {
-    const Matrix at = prob.a.transpose();
-    aty = at * y;
-  }
+  if (prob.num_constraints()) aty = at * y;
   res.primal = prob.num_constraints() ? linalg::norm_inf(linalg::sub(ax, z)) : 0.0;
   Vector dual_vec = px;
   for (std::size_t i = 0; i < dual_vec.size(); ++i) {
@@ -72,6 +90,7 @@ Residuals compute_residuals(const QpProblem& prob, const Vector& x,
       {linalg::norm_inf(px), linalg::norm_inf(aty), linalg::norm_inf(prob.q)});
   res.eps_primal = opt.eps_abs + opt.eps_rel * scale_primal;
   res.eps_dual = opt.eps_abs + opt.eps_rel * scale_dual;
+  res.balance = {res.primal, scale_primal, res.dual, scale_dual};
   return res;
 }
 
@@ -80,28 +99,37 @@ Residuals compute_residuals(const QpProblem& prob, const Vector& x,
 QpResult solve_qp_admm(const QpProblem& problem, const AdmmOptions& options,
                        const Vector& warm_x, const Vector& warm_y) {
   problem.validate();
+  options.validate();
   const std::size_t n = problem.num_vars();
   const std::size_t m = problem.num_constraints();
+  const Matrix at = m > 0 ? problem.a.transpose() : Matrix{};
 
-  // Per-row step sizes: equality rows get a much larger rho (OSQP's
-  // standard heuristic) so they are enforced tightly.
-  Vector rho(m), rho_inv(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const bool is_eq = problem.lower[i] == problem.upper[i];
-    rho[i] = is_eq ? options.rho * options.rho_eq_scale : options.rho;
-    rho_inv[i] = 1.0 / rho[i];
-  }
-
-  // KKT matrix [[P + sigma I, Aᵀ], [A, -diag(1/rho)]], factorized once.
+  // KKT matrix [[P + sigma I, Aᵀ], [A, -diag(1/rho)]]; only the
+  // -diag(1/rho) block depends on the rung, so a switch rewrites it and
+  // re-factors.
   Matrix kkt(n + m, n + m);
   kkt.set_block(0, 0, problem.p);
   for (std::size_t i = 0; i < n; ++i) kkt(i, i) += options.sigma;
   if (m > 0) {
-    kkt.set_block(0, n, problem.a.transpose());
+    kkt.set_block(0, n, at);
     kkt.set_block(n, 0, problem.a);
-    for (std::size_t i = 0; i < m; ++i) kkt(n + i, n + i) = -rho_inv[i];
   }
-  const linalg::Ldlt kkt_factor(kkt);
+
+  // Per-row step sizes: equality rows get a much larger rho (OSQP's
+  // standard heuristic) so they are enforced tightly.
+  Vector rho(m), rho_inv(m);
+  int rung = *rho_rung_of(options.rho);
+  const auto factor_rung = [&] {
+    const double rho_base = rho_of_rung(rung);
+    for (std::size_t i = 0; i < m; ++i) {
+      const bool is_eq = problem.lower[i] == problem.upper[i];
+      rho[i] = is_eq ? rho_base * options.rho_eq_scale : rho_base;
+      rho_inv[i] = 1.0 / rho[i];
+      kkt(n + i, n + i) = -rho_inv[i];
+    }
+    return linalg::Ldlt(kkt);
+  };
+  linalg::Ldlt kkt_factor = factor_rung();
 
   QpResult result;
   Vector x = warm_x.size() == n ? warm_x : Vector(n, 0.0);
@@ -141,14 +169,23 @@ QpResult solve_qp_admm(const QpProblem& problem, const AdmmOptions& options,
     z = std::move(z_next);
     y = std::move(y_next);
 
-    if (iter % options.check_interval == 0 || iter == options.max_iterations) {
-      const Residuals res = compute_residuals(problem, x, z, y, options);
+    const bool adapt = iter % kRhoAdaptInterval == 0;
+    if (adapt || iter % options.check_interval == 0 ||
+        iter == options.max_iterations) {
+      const Residuals res = compute_residuals(problem, at, x, z, y, options);
       result.iterations = iter;
       result.primal_residual = res.primal;
       result.dual_residual = res.dual;
       if (res.primal <= res.eps_primal && res.dual <= res.eps_dual) {
         result.status = QpStatus::kOptimal;
         break;
+      }
+      if (adapt) {
+        const int next = balanced_rho_rung(rung, res.balance);
+        if (next != rung) {
+          rung = next;
+          kkt_factor = factor_rung();
+        }
       }
     }
   }
@@ -171,6 +208,7 @@ QpResult solve_qp_admm(const QpProblem& problem, const AdmmOptions& options,
 
   result.x = std::move(x);
   result.y = std::move(y);
+  result.rho_rung = rung;
   result.objective = problem.objective(result.x);
   return result;
 }

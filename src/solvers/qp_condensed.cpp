@@ -211,26 +211,20 @@ void CondensedQpSolver::configure(const TransportQpShape& shape,
   }
   require(cost.r >= 0.0 && std::isfinite(cost.r),
           "CondensedQpSolver: move penalty must be non-negative");
-  require(options.rho > 0.0 && options.rho_eq_scale > 0.0 &&
-              options.sigma > 0.0 && options.alpha > 0.0 &&
-              options.alpha < 2.0,
-          "CondensedQpSolver: invalid ADMM options");
+  options.validate();
 
   shape_ = shape;
   cost_ = cost;
   options_ = options;
-  rho_in_ = options.rho;
-  inv_rho_in_ = 1.0 / options.rho;
-  rho_eq_ = options.rho * options.rho_eq_scale;
-  diag_shift_ = options.sigma + (shape.nonnegative ? rho_in_ : 0.0);
+  cache_ = cache;
+  start_rung_ = *rho_rung_of(options.rho);
+  rung_factors_ = {};
+  use_rung(start_rung_);
 
   const std::size_t b1 = shape.prediction;
   const std::size_t b2 = shape.control;
   const std::size_t n = shape.num_vars();
   const std::size_t rows = shape.num_rows();
-
-  factors_ = cache ? cache->get(shape, cost, options)
-                   : build_factors(shape, cost, rho_in_, rho_eq_, diag_shift_);
 
   // Arena.
   x_.assign(n, 0.0);
@@ -252,6 +246,25 @@ void CondensedQpSolver::configure(const TransportQpShape& shape,
   result_.y.assign(rows, 0.0);
   result_.y1.assign(nidc, 0.0);
   configured_ = true;
+}
+
+void CondensedQpSolver::use_rung(int rung) {
+  rung_ = rung;
+  rho_in_ = rho_of_rung(rung);
+  inv_rho_in_ = 1.0 / rho_in_;
+  rho_eq_ = rho_in_ * options_.rho_eq_scale;
+  diag_shift_ = options_.sigma + (shape_.nonnegative ? rho_in_ : 0.0);
+  auto& slot = rung_factors_[static_cast<std::size_t>(rung - kRhoRungMin)];
+  if (slot == nullptr) {
+    if (cache_ != nullptr) {
+      AdmmOptions rung_options = options_;
+      rung_options.rho = rho_in_;
+      slot = cache_->get(shape_, cost_, rung_options);
+    } else {
+      slot = build_factors(shape_, cost_, rho_in_, rho_eq_, diag_shift_);
+    }
+  }
+  factors_ = slot.get();
 }
 
 void CondensedQpSolver::solve_b_in_place(double* x, std::size_t groups) const {
@@ -426,6 +439,7 @@ const CondensedQpResult& CondensedQpSolver::solve(
     }
   }
 
+  use_rung(start_rung_);
   result_.status = QpStatus::kMaxIterations;
   result_.iterations = 0;
   result_.primal_residual = 0.0;
@@ -548,8 +562,9 @@ const CondensedQpResult& CondensedQpSolver::solve(
     // Residuals and tolerances match qp_admm's compute_residuals; the
     // dual-residual scan for block t−1 rides one block behind so its
     // x_{t−2..t} neighborhood is final and still cache-hot.
+    const bool adapt = iter % kRhoAdaptInterval == 0;
     const bool check =
-        iter % options_.check_interval == 0 || iter == max_iter;
+        adapt || iter % options_.check_interval == 0 || iter == max_iter;
     double primal = 0.0, norm_ax = 0.0, norm_z = 0.0;
     double dual = 0.0, norm_px = 0.0, norm_aty = 0.0;
     const auto dual_block = [&](std::size_t t) {
@@ -675,8 +690,15 @@ const CondensedQpResult& CondensedQpSolver::solve(
         result_.status = QpStatus::kOptimal;
         break;
       }
+      if (adapt) {
+        const int next = balanced_rho_rung(
+            rung_, {primal, std::max(norm_ax, norm_z), dual,
+                    std::max({norm_px, norm_aty, norm_q})});
+        if (next != rung_) use_rung(next);
+      }
     }
   }
+  result_.rho_rung = rung_;
 
   // Primal infeasibility heuristic (same as qp_admm): residuals stalled
   // far from feasible relative to the bound magnitudes.

@@ -25,20 +25,25 @@
 // The per-iteration solve is then a block-Thomas sweep with scalar
 // 2-component coefficient recurrences (O(β2·C·N)) plus a Woodbury
 // correction through a β2N × β2N capacitance matrix K, assembled via
-// the Jacobi eigendecomposition of T and Cholesky-factorized ONCE in
-// configure() — the factorization depends only on the shape, weights
+// the Jacobi eigendecomposition of T and Cholesky-factorized once per
+// step-size rung — the factorization depends only on the shape, weights
 // and penalty parameters, never on per-tick data, so it is reused
 // across every control period until the plant or horizons change.
+// configure() builds the starting rung; a rung the adaptive step size
+// (rho_ladder.hpp) first moves to is built, or fetched from the shared
+// cache, on that first use and kept in a per-solver table.
 //
 // The iteration itself mirrors qp_admm.cpp exactly — same splitting,
 // over-relaxation, per-row rho (equality rows scaled by rho_eq_scale),
-// residual and termination formulas, and primal-infeasibility
-// heuristic — so the two backends agree on converged solutions and on
-// failure semantics; only the parametrization (V vs ΔU) and the linear
-// algebra differ. After configure(), solve() performs no heap
-// allocation: every buffer lives in a preallocated arena.
+// residual and termination formulas, residual-balanced rho rule and
+// primal-infeasibility heuristic — so the two backends agree on
+// converged solutions and on failure semantics; only the
+// parametrization (V vs ΔU) and the linear algebra differ. After configure(), solve() performs no heap
+// allocation except on the first use of a rung: every buffer lives in
+// a preallocated arena.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -47,6 +52,7 @@
 #include "linalg/matrix.hpp"
 #include "solvers/qp.hpp"
 #include "solvers/qp_admm.hpp"
+#include "solvers/rho_ladder.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace gridctl::solvers {
@@ -94,8 +100,9 @@ struct CondensedFactors {
 
 // Process-wide cache of condensed factorizations, keyed by everything
 // that enters them: the problem shape, the cost data, and the ADMM
-// penalty parameters (rho, rho_eq_scale, sigma). Fleets sharing a plant
-// shape then pay the O(β2³ + (β2·N)³) configure cost once and share the
+// penalty parameters (the rho rung, rho_eq_scale, sigma) — one entry
+// per step-size rung in use. Fleets sharing a plant shape then pay the
+// O(β2³ + (β2·N)³) factorization once per rung and share the
 // capacitance matrix memory. Thread-safe; misses compute under the lock
 // (a deliberate trade: concurrent first-touch of the *same* key would
 // otherwise duplicate the most expensive step).
@@ -142,18 +149,21 @@ struct CondensedQpResult {
   std::size_t iterations = 0;
   double primal_residual = 0.0;
   double dual_residual = 0.0;
+  int rho_rung = 0;  // step-size rung the solve ended on (rho_ladder.hpp)
 };
 
 class CondensedQpSolver {
  public:
   CondensedQpSolver() = default;
 
-  // Build the factorization and size the arena. O(β2³ + (β2·N)³) once;
-  // `options.rho/rho_eq_scale/sigma` enter the cached factors, so a new
-  // configure() is needed if they change. Throws InvalidArgument on
-  // inconsistent shape/cost sizes. With a non-null `cache` the factors
-  // come from (and are inserted into) the shared cache instead of being
-  // computed locally — a cache hit makes configure O(arena).
+  // Build the starting rung's factorization and size the arena.
+  // O(β2³ + (β2·N)³) per rung; `options.rho` is the rung every solve
+  // starts on, and the factors of any other rung a solve moves to are
+  // built on that rung's first use. Throws InvalidArgument on
+  // inconsistent shape/cost sizes or invalid options. With a non-null
+  // `cache` the factors of every rung come from (and are inserted into)
+  // the shared cache instead of being computed locally — a cache hit
+  // makes configure O(arena). The cache must outlive the solver.
   void configure(const TransportQpShape& shape, const TransportQpCost& cost,
                  const AdmmOptions& options = {},
                  CondensedFactorCache* cache = nullptr);
@@ -169,8 +179,10 @@ class CondensedQpSolver {
   //   warm_delta_u (β2·C·N or empty) previous stacked-move solution
   //   warm_dual    (num_rows() or empty) previous condensed dual
   //   max_iterations (0 = options default) fault-injection iteration cap
-  // Returns a reference to an internally owned result (valid until the
-  // next solve). Allocation-free after the first call.
+  // Every solve starts on the configured rung; no rho state crosses
+  // solves. Returns a reference to an internally owned result (valid
+  // until the next solve). Allocation-free once each rung it uses has
+  // been used before.
   const CondensedQpResult& solve(const linalg::Vector& u_prev,
                                  const linalg::Vector& demand,
                                  const linalg::Vector& cap_lower,
@@ -181,6 +193,9 @@ class CondensedQpSolver {
                                  std::size_t max_iterations = 0);
 
  private:
+  // Switch the iteration to `rung`, loading its factors on first use.
+  void use_rung(int rung);
+
   // Apply B⁻¹ in place via the block-Thomas sweeps. `groups` is the
   // portal multiplicity: C for full variable blocks, 1 for the
   // portal-uniform β2·N reduced system (the algebra is identical).
@@ -189,19 +204,26 @@ class CondensedQpSolver {
   TransportQpShape shape_;
   TransportQpCost cost_;
   AdmmOptions options_;
+  CondensedFactorCache* cache_ = nullptr;
   bool configured_ = false;
+  int start_rung_ = 0;  // rung of options_.rho; every solve starts here
+  int rung_ = 0;        // rung of the running iteration
 
-  // Derived scalars.
+  // Derived scalars of the current rung.
   double rho_in_ = 0.0;      // inequality-row step size
   double inv_rho_in_ = 0.0;  // hoisted reciprocal for the hot dual updates
   double rho_eq_ = 0.0;      // equality-row step size
   double diag_shift_ = 0.0;  // sigma (+ rho_in when nonnegative)
 
   // The tick-independent factorization (Thomas Schur scalars, Woodbury
-  // capacitance inverse K⁻¹, Hessian diagonal ĉ). Owned via shared_ptr
-  // so fleets configured through a CondensedFactorCache share one
-  // immutable instance instead of each holding a (β2·N)² matrix.
-  std::shared_ptr<const CondensedFactors> factors_;
+  // capacitance inverse K⁻¹, Hessian diagonal ĉ) of each rung used so
+  // far, indexed by rung − kRhoRungMin, and the current rung's entry.
+  // Filled per solver so the cache mutex stays out of the iteration
+  // loop. Owned via shared_ptr so fleets configured through a
+  // CondensedFactorCache share one immutable instance instead of each
+  // holding a (β2·N)² matrix.
+  std::array<std::shared_ptr<const CondensedFactors>, kRhoRungs> rung_factors_;
+  const CondensedFactors* factors_ = nullptr;
 
   // Arena (sized in configure, reused every solve). zt_ and ax_ only
   // carry the equality + cap sections: the non-negativity rows of A x̃

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/paper.hpp"
@@ -349,48 +351,89 @@ TEST(ControlPlane, RequestStopIsResumable) {
   expect_fleet_matches_solo(second_report.fleets[0], solo);
 }
 
-// Amortized MPC configuration: homogeneous condensed fleets share one
-// factorization — a single cache miss, every other fleet hits.
-TEST(ControlPlane, FactorCacheAmortizesHomogeneousFleets) {
-  constexpr std::size_t kFleets = 6;
-  std::vector<FleetSpec> specs(kFleets);
-  for (std::size_t f = 0; f < kFleets; ++f) {
+// Runs `r_weights.size()` tiny condensed fleets, fleet f with move
+// penalty r_weights[f], on a plane of `workers` workers.
+PlaneReport run_tiny_plane(const std::vector<double>& r_weights,
+                           std::size_t workers) {
+  std::vector<FleetSpec> specs(r_weights.size());
+  for (std::size_t f = 0; f < specs.size(); ++f) {
     specs[f].id = "fleet-" + std::to_string(f);
-    specs[f].scenario = tiny_scenario();
+    specs[f].scenario = tiny_scenario(r_weights[f]);
   }
   PlaneOptions options;
-  options.workers = 2;
+  options.workers = workers;
   ControlPlane plane(std::move(specs), options);
-  const PlaneReport report = plane.run();
+  return plane.run();
+}
 
+// Amortized MPC configuration: the factor cache holds one factorization
+// per (cost, step-size rung) key, and each fleet's solver fetches a
+// rung's factors on its first use of that rung. A lone fleet therefore
+// misses once per rung it uses; six identical fleets miss exactly as
+// often, and every other first use hits. With four workers several
+// fleets reach a rung's first use concurrently.
+void expect_factor_cache_amortizes(std::size_t workers) {
+  constexpr std::size_t kFleets = 6;
+  const PlaneReport solo = run_tiny_plane({0.8}, workers);
+  ASSERT_EQ(solo.failed_fleets(), 0u);
+  // The starting rung (rho = 0.1) and the one residual balancing moves
+  // to; a lone solver misses on each.
+  EXPECT_EQ(solo.factor_cache_misses, 2u);
+  EXPECT_EQ(solo.factor_cache_hits, 0u);
+  const std::uint64_t first_uses_per_fleet =
+      solo.factor_cache_misses + solo.factor_cache_hits;
+
+  const PlaneReport report =
+      run_tiny_plane(std::vector<double>(kFleets, 0.8), workers);
   EXPECT_EQ(report.failed_fleets(), 0u);
-  EXPECT_EQ(report.factor_cache_misses, 1u);
-  EXPECT_EQ(report.factor_cache_hits, kFleets - 1);
+  EXPECT_EQ(report.factor_cache_misses, solo.factor_cache_misses);
+  EXPECT_EQ(report.factor_cache_hits,
+            kFleets * first_uses_per_fleet - report.factor_cache_misses);
+  EXPECT_EQ(report.factor_cache_hits, 10u);
   // Identical fleets, identical answers: the shared factors are the
   // same numbers every solo configure would have computed.
   for (const FleetResult& fleet : report.fleets) {
     EXPECT_EQ(fleet.result.summary.total_cost.value(),
-              report.fleets[0].result.summary.total_cost.value())
+              solo.fleets[0].result.summary.total_cost.value())
         << fleet.id;
   }
 }
 
+TEST(ControlPlane, FactorCacheAmortizesHomogeneousFleets) {
+  expect_factor_cache_amortizes(2);
+}
+
+TEST(ControlPlane, FactorCacheAmortizesHomogeneousFleetsOnFourWorkers) {
+  expect_factor_cache_amortizes(4);
+}
+
 // Distinct move penalties change the condensed Hessian: two templates
-// mean exactly two factorizations, however many fleets share them.
+// whose fleets use two and three rungs mean exactly five factorizations,
+// however many fleets share them.
 TEST(ControlPlane, FactorCacheKeysOnCost) {
-  std::vector<FleetSpec> specs(5);
-  for (std::size_t f = 0; f < specs.size(); ++f) {
-    specs[f].id = "fleet-" + std::to_string(f);
-    specs[f].scenario = tiny_scenario(f % 2 == 0 ? 0.4 : 1.2);
+  const std::vector<double> templates = {0.4, 1.2};
+  std::vector<std::uint64_t> first_uses;
+  for (const double r : templates) {
+    const PlaneReport solo = run_tiny_plane({r}, 2);
+    ASSERT_EQ(solo.failed_fleets(), 0u);
+    EXPECT_EQ(solo.factor_cache_hits, 0u);
+    first_uses.push_back(solo.factor_cache_misses);
   }
-  PlaneOptions options;
-  options.workers = 2;
-  ControlPlane plane(std::move(specs), options);
-  const PlaneReport report = plane.run();
+  EXPECT_EQ(first_uses, (std::vector<std::uint64_t>{2, 3}));
+  std::vector<double> r_weights;
+  std::uint64_t total_first_uses = 0;
+  for (std::size_t f = 0; f < 5; ++f) {
+    r_weights.push_back(templates[f % 2]);
+    total_first_uses += first_uses[f % 2];
+  }
+  const PlaneReport report = run_tiny_plane(r_weights, 2);
 
   EXPECT_EQ(report.failed_fleets(), 0u);
-  EXPECT_EQ(report.factor_cache_misses, 2u);
-  EXPECT_EQ(report.factor_cache_hits, 3u);
+  EXPECT_EQ(report.factor_cache_misses, first_uses[0] + first_uses[1]);
+  EXPECT_EQ(report.factor_cache_misses, 5u);
+  EXPECT_EQ(report.factor_cache_hits,
+            total_first_uses - report.factor_cache_misses);
+  EXPECT_EQ(report.factor_cache_hits, 7u);
 }
 
 // A fleet whose scenario fails validation is reported through its

@@ -17,6 +17,27 @@ Scenario quick_scenario() {
   return scenario;
 }
 
+// A shared trace snapshot costs no copy and never changes: the kernel
+// copies its trace on the first record after sharing it.
+TEST(PeriodKernel, SharedTraceSnapshotIsCopyOnWrite) {
+  const Scenario scenario = quick_scenario();
+  PeriodKernel kernel(scenario, "optimal");
+  const PeriodKernel& view = kernel;
+  const PolicyDecision initial = kernel.warm_start(nullptr);
+  const units::Seconds t0 = scenario.start_time_s;
+  kernel.record_initial_row(kernel.prices_at(t0), kernel.demands_at(t0));
+
+  const auto snapshot = kernel.share_trace();
+  EXPECT_EQ(snapshot.get(), &view.trace());
+  kernel.begin_period();
+  kernel.advance(0, initial, kernel.prices_at(t0), kernel.demands_at(t0),
+                 nullptr);
+  EXPECT_NE(snapshot.get(), &view.trace());
+  EXPECT_EQ(snapshot->time_s.size(), 1u);
+  EXPECT_EQ(view.trace().time_s.size(), 2u);
+  EXPECT_EQ(view.trace().time_s.front(), snapshot->time_s.front());
+}
+
 TEST(Simulation, TraceShapeAndTimestamps) {
   Scenario scenario = quick_scenario();
   OptimalPolicy policy(scenario.idcs, 5, scenario.controller.cost_basis);

@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 
 #include "control/constraints.hpp"
 #include "control/prediction.hpp"
 #include "solvers/lsq.hpp"
+#include "solvers/qp_admm.hpp"
 #include "util/error.hpp"
 
 namespace gridctl::solvers {
@@ -88,10 +91,9 @@ TransportCase make_case(std::size_t portals, std::size_t idcs,
   return c;
 }
 
-// Dense reference solve through the exact same pipeline the MPC's dense
-// path uses: stacked prediction + stacked constraints + the LSQ entry.
-ConstrainedLsqResult solve_dense(const TransportCase& c, LsqBackend backend,
-                                 std::size_t max_iterations = 0) {
+// The dense problem the MPC's dense path builds for this case: stacked
+// prediction + stacked constraints.
+ConstrainedLsqProblem make_lsq(const TransportCase& c) {
   const std::size_t n = c.idcs;
   const std::size_t m = c.portals * n;
   MpcPlant plant;
@@ -133,7 +135,15 @@ ConstrainedLsqResult solve_dense(const TransportCase& c, LsqBackend backend,
   lsq.a_in = stacked.a_in;
   lsq.lower = stacked.lower;
   lsq.upper = stacked.upper;
-  return solve_constrained_lsq(lsq, LsqSolveOptions{backend, max_iterations});
+  return lsq;
+}
+
+// Dense reference solve through the exact same pipeline the MPC's dense
+// path uses: make_lsq + the LSQ entry.
+ConstrainedLsqResult solve_dense(const TransportCase& c, LsqBackend backend,
+                                 std::size_t max_iterations = 0) {
+  return solve_constrained_lsq(make_lsq(c),
+                               LsqSolveOptions{backend, max_iterations});
 }
 
 CondensedQpSolver make_solver(const TransportCase& c) {
@@ -311,6 +321,201 @@ TEST(CondensedQp, ZeroMovePenaltyWorks) {
   TransportCase c = make_case(2, 3, 4, 2);
   c.r = 0.0;
   expect_agrees_with_dense(c, 5e-3, 1e-4);
+}
+
+// The market_plane shape: a routed plane fleet whose five portals carry
+// one eighth of the paper's Table-I demand (in 1000 req/s) on the
+// paper's three IDCs, with caps sized for the whole fleet. The previous
+// period served a per-portal demand that has since drifted by a few
+// percent, all of it on IDC 0. A fixed rho = 0.1 takes over 2800
+// iterations on both ADMM paths here.
+TransportCase routed_fleet_case() {
+  TransportCase c;
+  c.portals = 5;
+  c.idcs = 3;
+  c.prediction = 8;
+  c.control = 2;
+  c.slope = {0.1425, 0.228, 0.16285714285714284};
+  c.y0 = {0.075, 0.12, 0.085714285714285715};
+  c.q = {1.0, 1.0, 1.0};
+  c.r = 3.0;
+  c.demand = {3.75, 1.875, 1.875, 2.5, 2.5};
+  const Vector drift = {1.0, 1.08, 0.99, 1.02, 1.0};
+  c.u_prev.assign(c.portals * c.idcs, 0.0);
+  double total = 0.0;
+  for (std::size_t i = 0; i < c.portals; ++i) {
+    c.u_prev[i * c.idcs] = c.demand[i] * drift[i];
+    total += c.demand[i];
+  }
+  c.cap_lower = {0.0, 0.0, 0.0};
+  c.cap_upper = {39.0, 49.0, 34.0};
+  c.references = {{c.slope[0] * total + c.y0[0], c.y0[1], c.y0[2]}};
+  return c;
+}
+
+TEST(CondensedQp, RoutedFleetConvergesFastOnBothAdmmPaths) {
+  const TransportCase c = routed_fleet_case();
+  const ConstrainedLsqProblem lsq = make_lsq(c);
+  const auto exact = solve_constrained_lsq(lsq, LsqBackend::kActiveSet);
+  ASSERT_EQ(exact.status, QpStatus::kOptimal);
+
+  CondensedQpSolver solver = make_solver(c);
+  const CondensedQpResult& condensed = solver.solve(
+      c.u_prev, c.demand, c.cap_lower, c.cap_upper, c.references, {}, {});
+  ASSERT_EQ(condensed.status, QpStatus::kOptimal);
+  EXPECT_LE(condensed.iterations, 150u);
+  EXPECT_GT(condensed.rho_rung, -2) << "rho should climb from 0.1";
+
+  AdmmOptions admm;
+  admm.eps_abs = 1e-6;
+  admm.eps_rel = 1e-6;
+  const QpResult dense = solve_qp_admm(to_qp(lsq), admm);
+  ASSERT_EQ(dense.status, QpStatus::kOptimal);
+  EXPECT_LE(dense.iterations, 150u);
+  EXPECT_GT(dense.rho_rung, -2) << "rho should climb from 0.1";
+
+  ASSERT_EQ(condensed.delta_u.size(), exact.x.size());
+  ASSERT_EQ(dense.x.size(), exact.x.size());
+  for (std::size_t k = 0; k < exact.x.size(); ++k) {
+    EXPECT_NEAR(condensed.delta_u[k], exact.x[k], 1e-4) << "entry " << k;
+    EXPECT_NEAR(dense.x[k], exact.x[k], 1e-4) << "entry " << k;
+  }
+  EXPECT_NEAR(condensed.objective, exact.objective, 1e-4 * exact.objective);
+}
+
+// Rung factors are built on first use only, come from the shared cache
+// when one is given, and no step-size state crosses solves.
+TEST(CondensedQp, RungFactorsLoadOnFirstUseOnly) {
+  const TransportCase c = routed_fleet_case();
+  TransportQpShape shape;
+  shape.portals = c.portals;
+  shape.idcs = c.idcs;
+  shape.prediction = c.prediction;
+  shape.control = c.control;
+  TransportQpCost cost{c.q, c.slope, c.y0, c.r};
+  AdmmOptions admm;
+  admm.eps_abs = 1e-6;
+  admm.eps_rel = 1e-6;
+  admm.check_interval = 1;
+  CondensedFactorCache cache;
+  CondensedQpSolver first;
+  first.configure(shape, cost, admm, &cache);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  const CondensedQpResult once = first.solve(
+      c.u_prev, c.demand, c.cap_lower, c.cap_upper, c.references, {}, {});
+  ASSERT_EQ(once.status, QpStatus::kOptimal);
+  // A lone solver misses once per rung it uses.
+  const std::uint64_t used = cache.misses();
+  EXPECT_GE(used, 2u);
+  EXPECT_EQ(cache.hits(), 0u);
+
+  // A repeat solve restarts on the configured rung: same iterates, no
+  // new factors.
+  const CondensedQpResult& again = first.solve(
+      c.u_prev, c.demand, c.cap_lower, c.cap_upper, c.references, {}, {});
+  EXPECT_EQ(again.iterations, once.iterations);
+  EXPECT_EQ(again.rho_rung, once.rho_rung);
+  EXPECT_EQ(again.delta_u, once.delta_u);
+  EXPECT_EQ(cache.misses(), used);
+  EXPECT_EQ(cache.hits(), 0u);
+
+  // A second solver on the same cache hits on every rung it first uses,
+  // and matches a solver that builds its factors locally bit for bit.
+  CondensedQpSolver second;
+  second.configure(shape, cost, admm, &cache);
+  const CondensedQpResult& shared = second.solve(
+      c.u_prev, c.demand, c.cap_lower, c.cap_upper, c.references, {}, {});
+  EXPECT_EQ(cache.misses(), used);
+  EXPECT_EQ(cache.hits(), used);
+  CondensedQpSolver local = make_solver(c);
+  const CondensedQpResult& own = local.solve(
+      c.u_prev, c.demand, c.cap_lower, c.cap_upper, c.references, {}, {});
+  EXPECT_EQ(shared.delta_u, own.delta_u);
+  EXPECT_EQ(shared.y, own.y);
+}
+
+// AdmmOptions::validate guards both ADMM paths: each rejected field
+// throws InvalidArgument naming the field from solve_qp_admm and from
+// CondensedQpSolver::configure alike.
+void expect_rejected(const AdmmOptions& options, const std::string& field) {
+  QpProblem qp;
+  qp.p = Matrix{{2.0}};
+  qp.q = {-1.0};
+  qp.a = Matrix{{1.0}};
+  qp.lower = {0.0};
+  qp.upper = {1.0};
+  try {
+    solve_qp_admm(qp, options);
+    ADD_FAILURE() << "solve_qp_admm accepted bad " << field;
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  }
+  const TransportCase c = make_case(2, 3, 4, 2);
+  TransportQpShape shape;
+  shape.portals = c.portals;
+  shape.idcs = c.idcs;
+  shape.prediction = c.prediction;
+  shape.control = c.control;
+  CondensedQpSolver solver;
+  try {
+    solver.configure(shape, TransportQpCost{c.q, c.slope, c.y0, c.r}, options);
+    ADD_FAILURE() << "CondensedQpSolver::configure accepted bad " << field;
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(AdmmOptionsValidation, RejectsNonPositiveRho) {
+  AdmmOptions options;
+  options.rho = 0.0;
+  expect_rejected(options, "rho must be > 0");
+  options.rho = -1.0;
+  expect_rejected(options, "rho must be > 0");
+}
+
+TEST(AdmmOptionsValidation, RejectsRhoOffTheLadder) {
+  AdmmOptions options;
+  options.rho = 0.2;
+  expect_rejected(options, "ladder");
+  options.rho = 1e4;
+  expect_rejected(options, "ladder");
+}
+
+TEST(AdmmOptionsValidation, RejectsNonPositiveSigma) {
+  AdmmOptions options;
+  options.sigma = 0.0;
+  expect_rejected(options, "sigma");
+}
+
+TEST(AdmmOptionsValidation, RejectsAlphaOutsideOpenInterval) {
+  AdmmOptions options;
+  options.alpha = 0.0;
+  expect_rejected(options, "alpha");
+  options.alpha = 2.0;
+  expect_rejected(options, "alpha");
+}
+
+TEST(AdmmOptionsValidation, RejectsZeroCheckInterval) {
+  AdmmOptions options;
+  options.check_interval = 0;
+  expect_rejected(options, "check_interval");
+}
+
+TEST(AdmmOptionsValidation, RejectsNonPositiveRhoEqScale) {
+  AdmmOptions options;
+  options.rho_eq_scale = 0.0;
+  expect_rejected(options, "rho_eq_scale");
+}
+
+TEST(AdmmOptionsValidation, AcceptsEveryLadderRung) {
+  for (const double rho : kRhoLadder) {
+    AdmmOptions options;
+    options.rho = rho;
+    EXPECT_NO_THROW(options.validate()) << rho;
+  }
 }
 
 TEST(CondensedQp, RejectsBadShapes) {
