@@ -42,3 +42,15 @@ gridctl_bench(bench_ablation_ramp_sla)
 gridctl_bench(bench_ablation_price_preview)
 gridctl_bench(bench_ablation_monte_carlo)
 gridctl_bench(bench_ext_demand_charge)
+
+# The paper-figure reproductions and the extension/ablation benches that
+# print PASS/DEVIATION shape checks exit 1 on a DEVIATION, so they run as
+# ctest tests (`ctest -L figures`, well under a second together): a
+# change to the reference or the controller cannot bend a published
+# figure unseen.
+foreach(name bench_fig2_prices bench_fig3_prediction bench_fig4_smoothing
+             bench_fig5_servers bench_fig6_shaving bench_fig7_servers_shaving
+             bench_ext_green bench_ext_deferral bench_ablation_cost_basis)
+  add_test(NAME ${name} COMMAND ${name})
+  set_tests_properties(${name} PROPERTIES LABELS figures)
+endforeach()

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "datacenter/latency.hpp"
-#include "solvers/lp_simplex.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -13,8 +13,123 @@ namespace gridctl::control {
 
 using datacenter::Allocation;
 using datacenter::IdcConfig;
-using linalg::Matrix;
 using linalg::Vector;
+
+namespace {
+
+// Continuous eq.-35 power of IDC j as a function of its load:
+//   P_j(lambda) = slope_j lambda + fixed_j,
+// slope_j = b1_j + b0_j/mu_j (W per req/s), fixed_j = b0_j/(mu_j D_j).
+double power_slope(const IdcConfig& idc) {
+  return idc.power.watts_per_rps() +
+         idc.power.idle_w.value() / idc.power.service_rate.value();
+}
+
+double power_fixed(const IdcConfig& idc) {
+  return idc.power.idle_w.value() /
+         (idc.power.service_rate.value() * idc.latency_bound_s.value());
+}
+
+void require_finite_prices(const std::vector<double>& prices,
+                           const char* where) {
+  for (std::size_t j = 0; j < prices.size(); ++j) {
+    if (!std::isfinite(prices[j])) {
+      throw InvalidArgument(std::string(where) + ": non-finite price at IDC " +
+                            std::to_string(j));
+    }
+  }
+}
+
+// One piece of an IDC's piecewise-linear convex cost: up to `cap` req/s
+// at `cost` per req/s.
+struct Segment {
+  std::size_t idc;
+  double cap;
+  double cost;
+};
+
+// The cost-ordered fill and northwest-corner split of the header. Equal
+// costs keep their order in `segments` (IDC index); the last loaded IDC
+// absorbs whatever rounding leaves, so every portal's demand is
+// conserved. Returns the portal-major lambda, or an empty vector when
+// the segments cannot carry the demand.
+Vector fill_segments(std::vector<Segment>& segments,
+                     const std::vector<double>& portal_demands,
+                     std::size_t n) {
+  const std::size_t c = portal_demands.size();
+  Vector x(n * c, 0.0);
+  double total = 0.0;
+  for (double demand : portal_demands) total += demand;
+  if (total <= 0.0) return x;
+
+  std::stable_sort(segments.begin(), segments.end(),
+                   [](const Segment& a, const Segment& b) {
+                     return a.cost < b.cost;
+                   });
+  std::vector<double> loads(n, 0.0);
+  std::vector<std::size_t> order;  // loaded IDCs in fill order
+  order.reserve(n);
+  double remaining = total;
+  for (const Segment& seg : segments) {
+    const double take = std::min(seg.cap, remaining);
+    if (take <= 0.0) continue;
+    if (loads[seg.idc] == 0.0) order.push_back(seg.idc);
+    loads[seg.idc] += take;
+    remaining -= take;
+    if (remaining <= 0.0) break;
+  }
+  if (order.empty() || remaining > 1e-9 * std::max(1.0, total)) return {};
+
+  std::size_t k = 0;
+  double left = loads[order[0]];
+  for (std::size_t i = 0; i < c; ++i) {
+    double demand = portal_demands[i];
+    while (demand > 0.0) {
+      const bool last = k + 1 == order.size();
+      const double take = last ? demand : std::min(demand, left);
+      x[i * n + order[k]] += take;
+      demand -= take;
+      left -= take;
+      if (!last && left <= 0.0) left = loads[order[++k]];
+    }
+  }
+  return x;
+}
+
+// Segments of the eq. 46 objective: one per IDC up to its cap at the
+// unit cost. With a peak shadow (demand charges), load that fits under
+// the running billing-cycle peak keeps the plain unit cost and load
+// above it also pays the shadow price.
+std::vector<Segment> reference_segments(const ReferenceProblem& problem,
+                                        const std::vector<double>& caps) {
+  const std::size_t n = problem.idcs.size();
+  std::vector<Segment> segments;
+  segments.reserve(2 * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto& idc = problem.idcs[j];
+    const double per_rps = problem.basis == CostBasis::kPowerIntegral
+                               ? power_slope(idc)
+                               : 1.0;
+    const double base_cost = problem.prices[j] * per_rps;
+    if (problem.peak_shadow_per_mwh == 0.0) {
+      segments.push_back({j, caps[j], base_cost});
+      continue;
+    }
+    const double peak =
+        problem.cycle_peak_w.empty() ? 0.0 : problem.cycle_peak_w[j];
+    const double below = std::min(caps[j], load_cap_for_budget(idc, peak));
+    // The uplift scales with the same per-req/s factor as the price so
+    // both cost bases rank the shadow consistently.
+    const double uplift = per_rps * problem.peak_shadow_per_mwh;
+    if (below > 0.0) segments.push_back({j, below, base_cost});
+    if (caps[j] > below) {
+      segments.push_back({j, caps[j] - below, base_cost + uplift});
+    }
+  }
+  return segments;
+}
+
+}  // namespace
 
 double load_cap_for_capacity(const IdcConfig& idc) {
   return datacenter::capacity_for_latency(
@@ -24,151 +139,9 @@ double load_cap_for_capacity(const IdcConfig& idc) {
 
 double load_cap_for_budget(const IdcConfig& idc, double budget_w) {
   if (!std::isfinite(budget_w)) return load_cap_for_capacity(idc);
-  const double mu = idc.power.service_rate.value();
-  const double b0 = idc.power.idle_w.value();
-  const double b1 = idc.power.watts_per_rps();
-  // With m = lambda/mu + 1/(mu D) (continuous eq. 35):
-  //   P = b1 lambda + b0 m = (b1 + b0/mu) lambda + b0 / (mu D)
-  const double fixed = b0 / (mu * idc.latency_bound_s.value());
-  const double slope = b1 + b0 / mu;
-  const double cap = (budget_w - fixed) / slope;
+  const double cap = (budget_w - power_fixed(idc)) / power_slope(idc);
   return std::clamp(cap, 0.0, load_cap_for_capacity(idc));
 }
-
-namespace {
-
-// Above this variable count, the transportation LP is solved by the
-// closed-form greedy below instead of the simplex (whose dense tableau
-// is (c + n) × (n·c) — gigabytes at fleet scale); the greedy also solves
-// every demand-charge problem. Small problems keep the simplex so its
-// vertex solutions — which published trajectories pin — are unchanged.
-constexpr std::size_t kGreedyGateVars = 4096;
-
-double unit_cost(const ReferenceProblem& problem, std::size_t j) {
-  const auto& idc = problem.idcs[j];
-  const double per_rps =
-      problem.basis == CostBasis::kPowerIntegral
-          ? idc.power.watts_per_rps() +
-                idc.power.idle_w.value() / idc.power.service_rate.value()
-          : 1.0;
-  return problem.prices[j] * per_rps;
-}
-
-// The LP's cost on lambda_ij depends only on the IDC column j, so the
-// optimal per-IDC loads are a greedy fill of per-IDC cost segments in
-// cost order, and the product-form split
-// lambda_ij = L_i · load_j / L_total meets both marginals exactly
-// (row sums L_i, column sums load_j). O(n·c) instead of a simplex run.
-// Without a peak shadow each IDC is one segment up to its cap at the
-// unit cost. With one (demand charges), load that fits under the running
-// billing-cycle peak keeps the plain unit cost and load above it pays
-// the shadow uplift (prices[j] + peak_shadow_per_mwh): the per-IDC cost
-// is piecewise-linear convex in the load, so the fill stays exact.
-solvers::LpResult solve_allocation_greedy(const ReferenceProblem& problem,
-                                          const std::vector<double>& caps) {
-  const std::size_t n = problem.idcs.size();
-  const std::size_t c = problem.portal_demands.size();
-  solvers::LpResult result;
-  result.x.assign(n * c, 0.0);
-
-  double total = 0.0;
-  for (double demand : problem.portal_demands) total += demand;
-  if (total <= 0.0) {
-    result.status = solvers::LpStatus::kOptimal;
-    return result;
-  }
-
-  struct Segment {
-    std::size_t idc;
-    double cap;
-    double cost;
-  };
-  std::vector<Segment> segments;
-  segments.reserve(2 * n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double base_cost = unit_cost(problem, j);
-    if (problem.peak_shadow_per_mwh == 0.0) {
-      segments.push_back({j, caps[j], base_cost});
-      continue;
-    }
-    const double peak =
-        problem.cycle_peak_w.empty() ? 0.0 : problem.cycle_peak_w[j];
-    const double below =
-        std::min(caps[j], load_cap_for_budget(problem.idcs[j], peak));
-    // The uplift scales with the same per-req/s factor as the price so
-    // both cost bases rank the shadow consistently.
-    const double uplift =
-        problem.prices[j] > 0.0
-            ? base_cost / problem.prices[j] * problem.peak_shadow_per_mwh
-            : problem.peak_shadow_per_mwh;
-    if (below > 0.0) segments.push_back({j, below, base_cost});
-    if (caps[j] > below) {
-      segments.push_back({j, caps[j] - below, base_cost + uplift});
-    }
-  }
-  std::stable_sort(segments.begin(), segments.end(),
-                   [](const Segment& a, const Segment& b) {
-                     return a.cost < b.cost;
-                   });
-  std::vector<double> loads(n, 0.0);
-  double remaining = total;
-  double objective = 0.0;
-  for (const Segment& seg : segments) {
-    const double take = std::min(seg.cap, remaining);
-    if (take <= 0.0) continue;
-    loads[seg.idc] += take;
-    objective += seg.cost * take;
-    remaining -= take;
-    if (remaining <= 0.0) break;
-  }
-  if (remaining > 1e-9 * std::max(1.0, total)) {
-    result.status = solvers::LpStatus::kInfeasible;
-    return result;
-  }
-  for (std::size_t i = 0; i < c; ++i) {
-    const double share = problem.portal_demands[i] / total;
-    for (std::size_t j = 0; j < n; ++j) {
-      result.x[i * n + j] = share * loads[j];
-    }
-  }
-  result.status = solvers::LpStatus::kOptimal;
-  result.objective = objective;
-  return result;
-}
-
-// Transportation LP over lambda_ij (portal-major flattening):
-//   min sum_ij Pr_j (b1_j + b0_j/mu_j) lambda_ij
-//   s.t. sum_j lambda_ij = L_i          (portal conservation)
-//        sum_i lambda_ij <= cap_j        (per-IDC load cap)
-//        lambda >= 0
-solvers::LpResult solve_allocation_lp(const ReferenceProblem& problem,
-                                      const std::vector<double>& caps) {
-  const std::size_t n = problem.idcs.size();
-  const std::size_t c = problem.portal_demands.size();
-  if (problem.peak_shadow_per_mwh > 0.0 || n * c >= kGreedyGateVars) {
-    return solve_allocation_greedy(problem, caps);
-  }
-  solvers::LpProblem lp;
-  lp.c.assign(n * c, 0.0);
-  for (std::size_t i = 0; i < c; ++i) {
-    for (std::size_t j = 0; j < n; ++j) lp.c[i * n + j] = unit_cost(problem, j);
-  }
-  lp.a_eq = Matrix(c, n * c);
-  lp.b_eq.assign(c, 0.0);
-  for (std::size_t i = 0; i < c; ++i) {
-    for (std::size_t j = 0; j < n; ++j) lp.a_eq(i, i * n + j) = 1.0;
-    lp.b_eq[i] = problem.portal_demands[i];
-  }
-  lp.a_ub = Matrix(n, n * c);
-  lp.b_ub.assign(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < c; ++i) lp.a_ub(j, i * n + j) = 1.0;
-    lp.b_ub[j] = caps[j];
-  }
-  return solvers::solve_lp(lp);
-}
-
-}  // namespace
 
 ReferenceSolution solve_reference(const ReferenceProblem& problem) {
   const std::size_t n = problem.idcs.size();
@@ -183,6 +156,7 @@ ReferenceSolution solve_reference(const ReferenceProblem& problem) {
   require(problem.peak_shadow_per_mwh >= 0.0,
           "solve_reference: negative peak shadow price");
   for (const auto& idc : problem.idcs) idc.validate();
+  require_finite_prices(problem.prices, "solve_reference");
   for (double demand : problem.portal_demands) {
     require(demand >= 0.0, "solve_reference: negative demand");
   }
@@ -199,23 +173,22 @@ ReferenceSolution solve_reference(const ReferenceProblem& problem) {
   }
 
   ReferenceSolution solution;
-  auto lp_result = solve_allocation_lp(problem, caps);
-  if (lp_result.status != solvers::LpStatus::kOptimal) {
+  auto segments = reference_segments(problem, caps);
+  Vector lambda = fill_segments(segments, problem.portal_demands, n);
+  if (lambda.empty()) {
     // Budgets too tight for the demand: serve the workload anyway
     // (availability beats the budget) and report the relaxation.
     for (std::size_t j = 0; j < n; ++j) {
       caps[j] = load_cap_for_capacity(problem.idcs[j]);
     }
-    lp_result = solve_allocation_lp(problem, caps);
-    if (lp_result.status != solvers::LpStatus::kOptimal) {
-      solution.feasible = false;  // demand exceeds fleet capacity
-      return solution;
-    }
+    segments = reference_segments(problem, caps);
+    lambda = fill_segments(segments, problem.portal_demands, n);
+    if (lambda.empty()) return solution;  // demand exceeds fleet capacity
     solution.budgets_relaxed = true;
   }
 
   solution.feasible = true;
-  solution.allocation = Allocation::unflatten(lp_result.x, c, n);
+  solution.allocation = Allocation::unflatten(lambda, c, n);
   solution.idc_loads = units::raw_vector(solution.allocation.idc_loads());
   solution.servers.resize(n);
   solution.power_w.resize(n);
@@ -250,53 +223,37 @@ GreenReferenceSolution solve_green_reference(
   for (double renewable : problem.renewable_w) {
     require(renewable >= 0.0, "solve_green_reference: negative renewables");
   }
-
-  // Variables: [lambda_ij (portal-major, n*c) | g_j (n)].
-  const std::size_t num_vars = n * c + n;
-  solvers::LpProblem lp;
-  lp.c.assign(num_vars, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    require(problem.prices[j] >= 0.0,
+  require_finite_prices(problem.prices, "solve_green_reference");
+  for (double price : problem.prices) {
+    require(price >= 0.0,
             "solve_green_reference: negative prices make the brown-power "
             "epigraph unbounded; use solve_reference for negative LMPs");
-    lp.c[n * c + j] = problem.prices[j];
   }
 
-  lp.a_eq = Matrix(c, num_vars);
-  lp.b_eq.assign(c, 0.0);
-  for (std::size_t i = 0; i < c; ++i) {
-    for (std::size_t j = 0; j < n; ++j) lp.a_eq(i, i * n + j) = 1.0;
-    lp.b_eq[i] = problem.portal_demands[i];
-  }
-
-  // Rows: capacity caps (n) + brown-power epigraph (n).
-  lp.a_ub = Matrix(2 * n, num_vars);
-  lp.b_ub.assign(2 * n, 0.0);
+  // Brown cost of IDC j: Pr_j max(0, slope_j lambda + fixed_j - R_j).
+  // Load up to where the renewables run out is free; beyond it each
+  // req/s costs Pr_j slope_j. Convex for Pr_j >= 0, so the fill is exact.
+  std::vector<Segment> segments;
+  segments.reserve(2 * n);
   for (std::size_t j = 0; j < n; ++j) {
     const auto& idc = problem.idcs[j];
-    for (std::size_t i = 0; i < c; ++i) lp.a_ub(j, i * n + j) = 1.0;
-    lp.b_ub[j] = load_cap_for_capacity(idc);
-
-    // slope * lambda_j - g_j <= renewable_j - fixed_j.
-    const double slope =
-        idc.power.watts_per_rps() +
-        idc.power.idle_w.value() / idc.power.service_rate.value();
-    const double fixed = idc.power.idle_w.value() /
-                         (idc.power.service_rate.value() *
-                          idc.latency_bound_s.value());
-    for (std::size_t i = 0; i < c; ++i) lp.a_ub(n + j, i * n + j) = slope;
-    lp.a_ub(n + j, n * c + j) = -1.0;
-    lp.b_ub[n + j] = problem.renewable_w[j] - fixed;
+    const double cap = load_cap_for_capacity(idc);
+    const double slope = power_slope(idc);
+    const double renewable_load =
+        slope > 0.0 ? std::clamp(
+                          (problem.renewable_w[j] - power_fixed(idc)) / slope,
+                          0.0, cap)
+                    : cap;
+    if (renewable_load > 0.0) segments.push_back({j, renewable_load, 0.0});
+    if (cap > renewable_load) {
+      segments.push_back({j, cap - renewable_load, problem.prices[j] * slope});
+    }
   }
-
-  const auto lp_result = solvers::solve_lp(lp);
+  const Vector lambda = fill_segments(segments, problem.portal_demands, n);
   GreenReferenceSolution solution;
-  if (lp_result.status != solvers::LpStatus::kOptimal) return solution;
+  if (lambda.empty()) return solution;
 
   solution.feasible = true;
-  linalg::Vector lambda(lp_result.x.begin(),
-                        lp_result.x.begin() +
-                            static_cast<std::ptrdiff_t>(n * c));
   solution.allocation = Allocation::unflatten(lambda, c, n);
   solution.idc_loads = units::raw_vector(solution.allocation.idc_loads());
   solution.servers.resize(n);

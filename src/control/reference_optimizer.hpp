@@ -12,6 +12,15 @@
 // the LP (cost per req/s of IDC j = Pr_j (b1_j + b0_j / mu_j)), and the
 // integral m_j is recovered afterwards by the sleep rule. Power budgets
 // enter as per-IDC load caps derived by inverting the power model.
+//
+// Every LP here is a transportation problem whose cost depends only on
+// the IDC column and is piecewise-linear convex in the IDC's load, so it
+// is solved exactly in O(n c + n log n), without a simplex run: the
+// total demand fills per-IDC cost segments cheapest first (equal costs
+// by IDC index), and the per-portal split follows the northwest-corner
+// rule — portals in index order fill the loaded IDCs in the order their
+// first segment was filled. The split is a transportation vertex (at
+// most c + n - 1 nonzero lambda_ij), as a simplex solution would be.
 #pragma once
 
 #include <vector>
@@ -45,11 +54,11 @@ struct ReferenceProblem {
   // prices[j] + peak_shadow_per_mwh, so the reference prefers loads that
   // leave every cycle peak where it is (flattening the billed peak)
   // over marginally cheaper energy that would ratchet one up. The
-  // per-IDC cost stays piecewise-linear convex in the load, so the
-  // transportation greedy solves it exactly with two segments per IDC.
-  // Empty `cycle_peak_w` with a positive shadow means "no headroom
-  // anywhere" (a uniform uplift — the plain ranking). Zero shadow is
-  // bit-identical to the historical problem.
+  // uplift is scaled by the basis's per-req/s factor, like the price.
+  // The per-IDC cost stays piecewise-linear convex in the load: two
+  // fill segments per IDC, split at the cycle peak's load. Empty
+  // `cycle_peak_w` with a positive shadow means "no headroom anywhere"
+  // (a uniform uplift — the plain ranking).
   std::vector<double> cycle_peak_w;
   double peak_shadow_per_mwh = 0.0;
 };
@@ -67,6 +76,8 @@ struct ReferenceSolution {
   double cost_rate_per_hour = 0.0;        // sum_j Pr_j P_j, $/h
 };
 
+// Throws InvalidArgument on malformed input: size mismatches, negative
+// demand or shadow, or a non-finite price (the message names the IDC).
 ReferenceSolution solve_reference(const ReferenceProblem& problem);
 
 // Largest load an IDC can carry with the latency bound met and power
@@ -77,12 +88,14 @@ double load_cap_for_budget(const datacenter::IdcConfig& idc, double budget_w);
 
 // Green variant ("greening geographical load balancing", paper ref [6]):
 // each IDC has `renewable_w` of free renewable generation; only *brown*
-// power (demand above the renewable supply) costs money. The LP gains a
-// per-IDC brown-power variable g_j:
+// power (demand above the renewable supply) costs money:
 //
-//   minimize    sum_j Pr_j g_j
-//   subject to  g_j >= P_j(lambda_j) - renewable_j,  g_j >= 0
-//               + the usual conservation / capacity / non-negativity.
+//   minimize    sum_j Pr_j max(0, P_j(lambda_j) - renewable_j)
+//   subject to  the usual conservation / capacity / non-negativity.
+//
+// With P_j = slope_j lambda_j + fixed_j that is two fill segments per
+// IDC: free up to clamp((renewable_j - fixed_j) / slope_j, 0, cap_j),
+// then Pr_j slope_j per req/s. Prices must be finite and >= 0.
 struct GreenReferenceProblem {
   std::vector<datacenter::IdcConfig> idcs;
   std::vector<double> prices;          // Pr_j, $/MWh

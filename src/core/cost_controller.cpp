@@ -133,6 +133,10 @@ CostController::CostController(Config config)
                   config_.idcs.empty() ? 1 : config_.idcs.size()),
       servers_(config_.idcs.size(), 0) {
   config_.validate();
+  ref_problem_.idcs = config_.idcs;
+  ref_problem_.prices.assign(config_.idcs.size(), 0.0);
+  ref_problem_.power_budgets_w = units::raw_vector(config_.power_budgets_w);
+  ref_problem_.basis = config_.params.cost_basis;
   if (config_.params.predict_workload) {
     predictors_.assign(config_.portals,
                        workload::ArPredictor(config_.params.ar_order));
@@ -280,12 +284,12 @@ CostController::Decision CostController::step(
   }
 
   // Reference: budget-clamped optimal power (paper Sec. IV-D).
-  control::ReferenceProblem ref_problem;
-  ref_problem.idcs = config_.idcs;
-  ref_problem.prices = units::raw_vector(prices);
+  control::ReferenceProblem& ref_problem = ref_problem_;
+  const auto set_prices = [&](const std::vector<units::PricePerMwh>& row) {
+    for (std::size_t j = 0; j < n; ++j) ref_problem.prices[j] = row[j].value();
+  };
+  set_prices(prices);
   ref_problem.portal_demands = decision.predicted_demands;
-  ref_problem.power_budgets_w = units::raw_vector(config_.power_budgets_w);
-  ref_problem.basis = config_.params.cost_basis;
   if (billing_ && config_.params.peak_shadow_weight > 0.0) {
     // Shadow-price power above the running billing-cycle peak: the $/kW
     // peak rate amortized over the cycle is the $/MWh a marginal watt of
@@ -326,10 +330,9 @@ CostController::Decision CostController::step(
     // prediction step.
     step_input.references.clear();
     for (std::size_t s = 1; s <= config_.params.horizons.prediction; ++s) {
-      control::ReferenceProblem ahead = ref_problem;
       if (config_.params.predict_workload) {
         for (std::size_t i = 0; i < config_.portals; ++i) {
-          ahead.portal_demands[i] = predictors_[i].predict(s);
+          ref_problem.portal_demands[i] = predictors_[i].predict(s);
         }
       }
       if (!price_preview.empty()) {
@@ -340,14 +343,16 @@ CostController::Decision CostController::step(
                                                        : price_preview.back();
         require(row.size() == n,
                 "CostController: price preview row size mismatch");
-        ahead.prices = units::raw_vector(row);
+        set_prices(row);
       }
-      const auto solution = control::solve_reference(ahead);
+      const auto solution = control::solve_reference(ref_problem);
       step_input.references.push_back(linalg::scale(
           1.0 / kPowerScale, solution.feasible
                                  ? solution.reference_power_w
                                  : decision.reference.reference_power_w));
     }
+    // The billing meter below prices this period at today's prices.
+    if (!price_preview.empty()) set_prices(prices);
   }
   mpc_->step_into(step_input, mpc_result_);
   const control::MpcResult& mpc_result = mpc_result_;

@@ -197,6 +197,9 @@ class CostController {
   std::size_t step_count_ = 0;
   std::vector<workload::ArPredictor> predictors_;
   std::unique_ptr<control::MpcController> mpc_;
+  // Per-tick arena for the reference LPs: idcs, budgets and basis are
+  // set once; step() overwrites prices, demands and cycle peaks.
+  control::ReferenceProblem ref_problem_;
   control::MpcStep mpc_input_;     // per-tick arena for the MPC call
   control::MpcResult mpc_result_;
   std::optional<check::InvariantChecker> checker_;

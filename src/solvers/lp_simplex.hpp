@@ -5,11 +5,12 @@
 //               A_ub x <= b_ub
 //               x >= 0
 //
-// Bland's rule guarantees termination on degenerate problems. This is the
-// workhorse behind the reference optimizer (the Rao et al. "optimal
-// method" baseline, paper eq. 46) and the active-set QP's feasibility
-// phase. gridctl's LPs have tens of variables, so a dense tableau is the
-// right tool.
+// Bland's rule guarantees termination on degenerate problems. It solves
+// the batch-deferral LP (core/deferral) and the active-set QP's
+// feasibility phase, and is the test oracle for the reference optimizer
+// (whose transportation LP, paper eq. 46, is solved by an exact fill).
+// These LPs have tens of variables, so a dense tableau is the right
+// tool.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "control/reference_optimizer.hpp"
 #include "util/error.hpp"
 
@@ -101,6 +104,24 @@ TEST(GreenReference, Validation) {
   auto negative_price = two_idc(0.0, 0.0);
   negative_price.prices = {-5.0, 10.0};
   EXPECT_THROW(solve_green_reference(negative_price), InvalidArgument);
+}
+
+TEST(GreenReference, NonFinitePriceNamesTheIdc) {
+  // +inf passes a `price >= 0` check; NaN would break the fill's cost
+  // ordering. Both are rejected, naming the IDC.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto problem = two_idc(0.0, 0.0);
+    problem.prices[0] = bad;
+    try {
+      solve_green_reference(problem);
+      ADD_FAILURE() << "accepted price " << bad;
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find("non-finite price at IDC 0"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 }  // namespace

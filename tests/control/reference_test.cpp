@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/paper.hpp"
@@ -168,9 +169,9 @@ TEST(ReferenceOptimizer, PaperSevenAmEndpoints) {
 }
 
 TEST(ReferenceOptimizer, FleetScaleFillsCheapestFirst) {
-  // 64 IDCs x 64 portals = 4096 allocation variables: the fleet-scale
-  // closed-form fill, not the simplex. Prices come in tied pairs so the
-  // fill order also pins the index tie-break.
+  // 64 IDCs x 64 portals = 4096 allocation variables, a fleet-scale
+  // fill. Prices come in tied pairs so the fill order also pins the
+  // index tie-break.
   constexpr std::size_t kIdcs = 64;
   constexpr std::size_t kPortals = 64;
   ReferenceProblem problem;
@@ -231,6 +232,41 @@ TEST(ReferenceOptimizer, Validation) {
   problem = two_idc_problem();
   problem.power_budgets_w = {1.0};
   EXPECT_THROW(solve_reference(problem), InvalidArgument);
+}
+
+TEST(ReferenceOptimizer, NonFinitePriceNamesTheIdc) {
+  // A NaN price would break the fill's cost ordering; reject every
+  // non-finite price up front, naming the IDC.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf,
+                           -kInf}) {
+    auto problem = two_idc_problem();
+    problem.prices[1] = bad;
+    try {
+      solve_reference(problem);
+      ADD_FAILURE() << "accepted price " << bad;
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find("non-finite price at IDC 1"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(ReferenceOptimizer, PeakShadowUpliftScalesWithNegativePrices) {
+  // Power-integral basis: the shadow uplift is per_rps x shadow on every
+  // IDC, whatever the sign of its price. IDC 0's negative price makes
+  // its base cost -142.5 per req/s; a 2 $/MWh shadow adds 285 above the
+  // (empty) cycle peak, so that load costs 142.5 — dearer than IDC 1's
+  // flat 0.5 x 142.5 = 71.25, which therefore takes the demand.
+  ReferenceProblem problem = two_idc_problem();
+  problem.basis = CostBasis::kPowerIntegral;
+  problem.prices = {-1.0, 0.5};
+  problem.peak_shadow_per_mwh = 2.0;
+  problem.cycle_peak_w = {0.0, 1e9};
+  const auto solution = solve_reference(problem);
+  ASSERT_TRUE(solution.feasible);
+  EXPECT_NEAR(solution.idc_loads[0], 0.0, 1e-9);
+  EXPECT_NEAR(solution.idc_loads[1], 10000.0, 1e-9);
 }
 
 }  // namespace
