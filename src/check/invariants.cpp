@@ -58,8 +58,20 @@ std::vector<double> effective_load_caps(
     const std::vector<IdcConfig>& idcs,
     const std::vector<units::Watts>& power_budgets_w,
     bool budget_hard_constraints, const std::vector<double>& served_demands) {
+  std::vector<double> caps, scratch;
+  effective_load_caps_into(idcs, power_budgets_w, budget_hard_constraints,
+                           served_demands, caps, scratch);
+  return caps;
+}
+
+void effective_load_caps_into(const std::vector<IdcConfig>& idcs,
+                              const std::vector<units::Watts>& power_budgets_w,
+                              bool budget_hard_constraints,
+                              const std::vector<double>& served_demands,
+                              std::vector<double>& caps,
+                              std::vector<double>& scratch) {
   const std::size_t n = idcs.size();
-  std::vector<double> caps(n);
+  caps.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     caps[j] = control::load_cap_for_capacity(idcs[j]);
   }
@@ -67,15 +79,15 @@ std::vector<double> effective_load_caps(
     double total_demand = 0.0;
     for (double demand : served_demands) total_demand += demand;
     double total_cap = 0.0;
-    std::vector<double> budget_caps(n);
+    std::vector<double>& budget_caps = scratch;
+    budget_caps.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
       budget_caps[j] =
           control::load_cap_for_budget(idcs[j], power_budgets_w[j].value());
       total_cap += budget_caps[j];
     }
-    if (total_cap >= total_demand) caps = std::move(budget_caps);
+    if (total_cap >= total_demand) caps.swap(budget_caps);
   }
-  return caps;
 }
 
 InvariantChecker::InvariantChecker(std::vector<IdcConfig> idcs,
@@ -106,6 +118,19 @@ std::vector<Violation> InvariantChecker::check(
     const std::vector<double>& served_demands,
     const std::vector<double>& battery_soc_j,
     const std::vector<double>& battery_w) {
+  std::vector<Violation> violations;
+  check_into(allocation, servers, predicted_power_w, served_demands,
+             battery_soc_j, battery_w, violations);
+  return violations;
+}
+
+void InvariantChecker::check_into(const Allocation& allocation,
+                                  const std::vector<std::size_t>& servers,
+                                  const std::vector<double>& predicted_power_w,
+                                  const std::vector<double>& served_demands,
+                                  const std::vector<double>& battery_soc_j,
+                                  const std::vector<double>& battery_w,
+                                  std::vector<Violation>& violations) {
   const std::size_t n = idcs_.size();
   require(allocation.portals() == portals_ && allocation.idcs() == n,
           "InvariantChecker: allocation shape mismatch");
@@ -117,7 +142,7 @@ std::vector<Violation> InvariantChecker::check(
   require(battery_w.empty() || battery_w.size() == n,
           "InvariantChecker: battery power size mismatch");
 
-  std::vector<Violation> violations;
+  violations.clear();
   const auto flag = [&](Invariant kind, std::size_t index, double magnitude,
                         std::string detail) {
     ++counts_.by_kind[static_cast<std::size_t>(kind)];
@@ -168,10 +193,11 @@ std::vector<Violation> InvariantChecker::check(
 
     // Clamped power caps: both the applied load and the predicted power
     // must respect the caps the controller enforced this period.
-    const std::vector<double> caps =
-        effective_load_caps(idcs_, budgets_, budget_hard_, served_demands);
-    const std::vector<double> loads =
-        units::raw_vector(allocation.idc_loads());
+    effective_load_caps_into(idcs_, budgets_, budget_hard_, served_demands,
+                             caps_, caps_scratch_);
+    const std::vector<double>& caps = caps_;
+    allocation.idc_loads_into(loads_);
+    const std::vector<double>& loads = loads_;
     for (std::size_t j = 0; j < n; ++j) {
       const double load_slack = options_.budget_tol * std::max(1.0, caps[j]);
       if (loads[j] > caps[j] + load_slack) {
@@ -258,7 +284,6 @@ std::vector<Violation> InvariantChecker::check(
     throw InvariantViolationError("invariant violation: " +
                                   describe(violations));
   }
-  return violations;
 }
 
 }  // namespace gridctl::check

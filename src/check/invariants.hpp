@@ -38,6 +38,14 @@ std::vector<double> effective_load_caps(
     const std::vector<datacenter::IdcConfig>& idcs,
     const std::vector<units::Watts>& power_budgets_w,
     bool budget_hard_constraints, const std::vector<double>& served_demands);
+// As above, into `caps`; `scratch` holds the budget caps while they are
+// compared against the demand. Neither allocates once sized.
+void effective_load_caps_into(const std::vector<datacenter::IdcConfig>& idcs,
+                              const std::vector<units::Watts>& power_budgets_w,
+                              bool budget_hard_constraints,
+                              const std::vector<double>& served_demands,
+                              std::vector<double>& caps,
+                              std::vector<double>& scratch);
 
 class InvariantChecker {
  public:
@@ -68,6 +76,15 @@ class InvariantChecker {
                                const std::vector<double>& served_demands,
                                const std::vector<double>& battery_soc_j = {},
                                const std::vector<double>& battery_w = {});
+  // As check, into `violations` (cleared first). With no violation and
+  // a warmed checker, the call performs no heap allocation.
+  void check_into(const datacenter::Allocation& allocation,
+                  const std::vector<std::size_t>& servers,
+                  const std::vector<double>& predicted_power_w,
+                  const std::vector<double>& served_demands,
+                  const std::vector<double>& battery_soc_j,
+                  const std::vector<double>& battery_w,
+                  std::vector<Violation>& violations);
 
   const InvariantCounts& counts() const { return counts_; }
   const CheckOptions& options() const { return options_; }
@@ -81,6 +98,10 @@ class InvariantChecker {
   CheckOptions options_;
   control::SleepController sleep_;
   InvariantCounts counts_;
+  // check_into scratch: this call's caps and per-IDC loads.
+  std::vector<double> caps_;
+  std::vector<double> caps_scratch_;
+  std::vector<double> loads_;
 };
 
 }  // namespace gridctl::check

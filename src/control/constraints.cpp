@@ -118,17 +118,29 @@ void TransportConstraints::validate() const {
 }
 
 InputConstraints TransportConstraints::materialize() const {
+  InputConstraints dense;
+  materialize_into(dense);
+  return dense;
+}
+
+void TransportConstraints::materialize_into(InputConstraints& dense) const {
   validate();
   const std::size_t c = portals();
   const std::size_t n = idcs();
-  InputConstraints dense;
-  dense.h_eq = conservation_matrix(c, n);
+  // H (conservation) and Ψ (per-IDC load sums), as conservation_matrix
+  // and idc_load_matrix build them.
+  dense.h_eq.resize(c, c * n);
+  dense.a_in.resize(n, c * n);
+  for (std::size_t i = 0; i < c; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      dense.h_eq(i, i * n + j) = 1.0;
+      dense.a_in(j, i * n + j) = 1.0;
+    }
+  }
   dense.h_rhs = demand;
-  dense.a_in = idc_load_matrix(c, n);
   dense.in_lower = cap_lower;
   dense.in_upper = cap_upper;
   dense.nonnegative = nonnegative;
-  return dense;
 }
 
 }  // namespace gridctl::control

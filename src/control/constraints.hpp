@@ -64,6 +64,8 @@ struct TransportConstraints {
   void validate() const;
   // Equivalent dense per-step form (for the generic QP backends).
   InputConstraints materialize() const;
+  // The same into `dense`, reusing its storage when the shapes match.
+  void materialize_into(InputConstraints& dense) const;
 };
 
 // Workload-conservation block (paper eq. 26–29): portal-major U layout,

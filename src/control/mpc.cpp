@@ -88,11 +88,11 @@ void MpcController::set_constraints(InputConstraints constraints) {
   dense_constraints_dirty_ = true;
 }
 
-void MpcController::set_constraints(TransportConstraints constraints) {
+void MpcController::set_constraints(const TransportConstraints& constraints) {
   constraints.validate();
   require(constraints.portals() * constraints.idcs() == plant_.num_inputs(),
           "MpcController: transport constraint shape mismatch");
-  transport_ = std::move(constraints);
+  transport_ = constraints;
   dense_constraints_dirty_ = true;
 }
 
@@ -241,7 +241,7 @@ void MpcController::prepare_dense_problem(const MpcStep& input) {
   const InputConstraints* per_step = &config_.constraints;
   if (transport_.has_value()) {
     if (dense_constraints_dirty_) {
-      dense_constraints_ = transport_->materialize();
+      transport_->materialize_into(dense_constraints_);
       dense_constraints_dirty_ = false;
     }
     per_step = &dense_constraints_;

@@ -115,7 +115,9 @@ class MpcController {
   // condensed path eligible and materializes dense rows only if a
   // fallback solve needs them.
   void set_constraints(InputConstraints constraints);
-  void set_constraints(TransportConstraints constraints);
+  // The structured overload copies into the installed constraints, so a
+  // caller that refills one buffer each period reuses their storage.
+  void set_constraints(const TransportConstraints& constraints);
 
   const MpcPlant& plant() const { return plant_; }
   // Mutation invalidates the cached Θ, the detected problem structure

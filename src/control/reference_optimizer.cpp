@@ -7,13 +7,13 @@
 
 #include "datacenter/latency.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace gridctl::control {
 
 using datacenter::Allocation;
 using datacenter::IdcConfig;
-using linalg::Vector;
 
 namespace {
 
@@ -40,34 +40,47 @@ void require_finite_prices(const std::vector<double>& prices,
   }
 }
 
-// One piece of an IDC's piecewise-linear convex cost: up to `cap` req/s
-// at `cost` per req/s.
-struct Segment {
-  std::size_t idc;
-  double cap;
-  double cost;
-};
+using Segment = ReferenceScratch::Segment;
 
-// The cost-ordered fill and northwest-corner split of the header. Equal
-// costs keep their order in `segments` (IDC index); the last loaded IDC
-// absorbs whatever rounding leaves, so every portal's demand is
-// conserved. Returns the portal-major lambda, or an empty vector when
-// the segments cannot carry the demand.
-Vector fill_segments(std::vector<Segment>& segments,
-                     const std::vector<double>& portal_demands,
-                     std::size_t n) {
+// Rejects a negative or non-finite demand, naming the portal and value.
+// (A NaN fails every comparison, so a bare `demand >= 0` check would
+// report it as negative.)
+void require_valid_demands(const std::vector<double>& demands,
+                           const char* where) {
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    if (!(std::isfinite(demands[i]) && demands[i] >= 0.0)) {
+      throw InvalidArgument(format(
+          "%s: demand of portal %zu is %g (must be finite and >= 0)", where, i,
+          demands[i]));
+    }
+  }
+}
+
+// The cost-ordered fill and northwest-corner split of the header, over
+// `scratch.segments`. Equal costs keep their order in `segments` (IDC
+// index): the sort breaks cost ties by the segment's rank, which gives
+// the stable order without a stable sort's temporary buffer. The last
+// loaded IDC absorbs whatever rounding leaves, so every portal's demand
+// is conserved. Writes the portal-major lambda into `scratch.lambda`
+// and returns false when the segments cannot carry the demand.
+bool fill_segments(ReferenceScratch& scratch,
+                   const std::vector<double>& portal_demands, std::size_t n) {
   const std::size_t c = portal_demands.size();
-  Vector x(n * c, 0.0);
+  std::vector<double>& x = scratch.lambda;
+  x.assign(n * c, 0.0);
   double total = 0.0;
   for (double demand : portal_demands) total += demand;
-  if (total <= 0.0) return x;
+  if (total <= 0.0) return true;
 
-  std::stable_sort(segments.begin(), segments.end(),
-                   [](const Segment& a, const Segment& b) {
-                     return a.cost < b.cost;
-                   });
-  std::vector<double> loads(n, 0.0);
-  std::vector<std::size_t> order;  // loaded IDCs in fill order
+  std::vector<Segment>& segments = scratch.segments;
+  std::sort(segments.begin(), segments.end(),
+            [](const Segment& a, const Segment& b) {
+              return a.cost < b.cost || (a.cost == b.cost && a.rank < b.rank);
+            });
+  std::vector<double>& loads = scratch.fill_loads;
+  loads.assign(n, 0.0);
+  std::vector<std::size_t>& order = scratch.fill_order;
+  order.clear();
   order.reserve(n);
   double remaining = total;
   for (const Segment& seg : segments) {
@@ -78,7 +91,7 @@ Vector fill_segments(std::vector<Segment>& segments,
     remaining -= take;
     if (remaining <= 0.0) break;
   }
-  if (order.empty() || remaining > 1e-9 * std::max(1.0, total)) return {};
+  if (order.empty() || remaining > 1e-9 * std::max(1.0, total)) return false;
 
   std::size_t k = 0;
   double left = loads[order[0]];
@@ -93,17 +106,24 @@ Vector fill_segments(std::vector<Segment>& segments,
       if (!last && left <= 0.0) left = loads[order[++k]];
     }
   }
-  return x;
+  return true;
+}
+
+void add_segment(std::vector<Segment>& segments, std::size_t idc, double cap,
+                 double cost) {
+  segments.push_back({idc, cap, cost, segments.size()});
 }
 
 // Segments of the eq. 46 objective: one per IDC up to its cap at the
 // unit cost. With a peak shadow (demand charges), load that fits under
 // the running billing-cycle peak keeps the plain unit cost and load
 // above it also pays the shadow price.
-std::vector<Segment> reference_segments(const ReferenceProblem& problem,
-                                        const std::vector<double>& caps) {
+void reference_segments(const ReferenceProblem& problem,
+                        ReferenceScratch& scratch) {
   const std::size_t n = problem.idcs.size();
-  std::vector<Segment> segments;
+  const std::vector<double>& caps = scratch.caps;
+  std::vector<Segment>& segments = scratch.segments;
+  segments.clear();
   segments.reserve(2 * n);
   for (std::size_t j = 0; j < n; ++j) {
     const auto& idc = problem.idcs[j];
@@ -112,7 +132,7 @@ std::vector<Segment> reference_segments(const ReferenceProblem& problem,
                                : 1.0;
     const double base_cost = problem.prices[j] * per_rps;
     if (problem.peak_shadow_per_mwh == 0.0) {
-      segments.push_back({j, caps[j], base_cost});
+      add_segment(segments, j, caps[j], base_cost);
       continue;
     }
     const double peak =
@@ -121,12 +141,23 @@ std::vector<Segment> reference_segments(const ReferenceProblem& problem,
     // The uplift scales with the same per-req/s factor as the price so
     // both cost bases rank the shadow consistently.
     const double uplift = per_rps * problem.peak_shadow_per_mwh;
-    if (below > 0.0) segments.push_back({j, below, base_cost});
+    if (below > 0.0) add_segment(segments, j, below, base_cost);
     if (caps[j] > below) {
-      segments.push_back({j, caps[j] - below, base_cost + uplift});
+      add_segment(segments, j, caps[j] - below, base_cost + uplift);
     }
   }
-  return segments;
+}
+
+// Copies the portal-major lambda into `allocation`, reshaping it only
+// when the portal or IDC count changed.
+void unflatten_into(const std::vector<double>& lambda, std::size_t c,
+                    std::size_t n, Allocation& allocation) {
+  if (allocation.portals() != c || allocation.idcs() != n) {
+    allocation = Allocation(c, n);
+  }
+  for (std::size_t i = 0; i < c; ++i) {
+    for (std::size_t j = 0; j < n; ++j) allocation.at(i, j) = lambda[i * n + j];
+  }
 }
 
 }  // namespace
@@ -144,6 +175,13 @@ double load_cap_for_budget(const IdcConfig& idc, double budget_w) {
 }
 
 ReferenceSolution solve_reference(const ReferenceProblem& problem) {
+  ReferenceSolution solution;
+  solve_reference_into(problem, solution);
+  return solution;
+}
+
+void solve_reference_into(const ReferenceProblem& problem,
+                          ReferenceSolution& solution) {
   const std::size_t n = problem.idcs.size();
   const std::size_t c = problem.portal_demands.size();
   require(n > 0, "solve_reference: need at least one IDC");
@@ -157,9 +195,7 @@ ReferenceSolution solve_reference(const ReferenceProblem& problem) {
           "solve_reference: negative peak shadow price");
   for (const auto& idc : problem.idcs) idc.validate();
   require_finite_prices(problem.prices, "solve_reference");
-  for (double demand : problem.portal_demands) {
-    require(demand >= 0.0, "solve_reference: negative demand");
-  }
+  require_valid_demands(problem.portal_demands, "solve_reference");
 
   const auto budget = [&](std::size_t j) {
     return problem.power_budgets_w.empty()
@@ -167,29 +203,42 @@ ReferenceSolution solve_reference(const ReferenceProblem& problem) {
                : problem.power_budgets_w[j];
   };
 
-  std::vector<double> caps(n);
+  ReferenceScratch& scratch = solution.scratch;
+  solution.feasible = false;
+  solution.budgets_relaxed = false;
+  scratch.caps.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    caps[j] = load_cap_for_budget(problem.idcs[j], budget(j));
+    scratch.caps[j] = load_cap_for_budget(problem.idcs[j], budget(j));
   }
-
-  ReferenceSolution solution;
-  auto segments = reference_segments(problem, caps);
-  Vector lambda = fill_segments(segments, problem.portal_demands, n);
-  if (lambda.empty()) {
+  reference_segments(problem, scratch);
+  bool filled = fill_segments(scratch, problem.portal_demands, n);
+  if (!filled) {
     // Budgets too tight for the demand: serve the workload anyway
     // (availability beats the budget) and report the relaxation.
     for (std::size_t j = 0; j < n; ++j) {
-      caps[j] = load_cap_for_capacity(problem.idcs[j]);
+      scratch.caps[j] = load_cap_for_capacity(problem.idcs[j]);
     }
-    segments = reference_segments(problem, caps);
-    lambda = fill_segments(segments, problem.portal_demands, n);
-    if (lambda.empty()) return solution;  // demand exceeds fleet capacity
-    solution.budgets_relaxed = true;
+    reference_segments(problem, scratch);
+    filled = fill_segments(scratch, problem.portal_demands, n);
+    solution.budgets_relaxed = filled;
+  }
+  if (!filled) {
+    // Demand exceeds fleet capacity: the fields of a default solution.
+    if (solution.allocation.portals() != 1 || solution.allocation.idcs() != 1) {
+      solution.allocation = Allocation(1, 1);
+    }
+    solution.allocation.at(0, 0) = 0.0;
+    solution.idc_loads.clear();
+    solution.servers.clear();
+    solution.power_w.clear();
+    solution.reference_power_w.clear();
+    solution.cost_rate_per_hour = 0.0;
+    return;
   }
 
   solution.feasible = true;
-  solution.allocation = Allocation::unflatten(lambda, c, n);
-  solution.idc_loads = units::raw_vector(solution.allocation.idc_loads());
+  unflatten_into(scratch.lambda, c, n, solution.allocation);
+  solution.allocation.idc_loads_into(solution.idc_loads);
   solution.servers.resize(n);
   solution.power_w.resize(n);
   solution.reference_power_w.resize(n);
@@ -209,7 +258,6 @@ ReferenceSolution solve_reference(const ReferenceProblem& problem) {
   }
   // watts * $/MWh -> $/h: P[W] x 1h = P/1e6 MWh.
   solution.cost_rate_per_hour = cost_rate_w_price / units::kWattsPerMegawatt;
-  return solution;
 }
 
 GreenReferenceSolution solve_green_reference(
@@ -233,7 +281,8 @@ GreenReferenceSolution solve_green_reference(
   // Brown cost of IDC j: Pr_j max(0, slope_j lambda + fixed_j - R_j).
   // Load up to where the renewables run out is free; beyond it each
   // req/s costs Pr_j slope_j. Convex for Pr_j >= 0, so the fill is exact.
-  std::vector<Segment> segments;
+  ReferenceScratch scratch;
+  std::vector<Segment>& segments = scratch.segments;
   segments.reserve(2 * n);
   for (std::size_t j = 0; j < n; ++j) {
     const auto& idc = problem.idcs[j];
@@ -244,18 +293,17 @@ GreenReferenceSolution solve_green_reference(
                           (problem.renewable_w[j] - power_fixed(idc)) / slope,
                           0.0, cap)
                     : cap;
-    if (renewable_load > 0.0) segments.push_back({j, renewable_load, 0.0});
+    if (renewable_load > 0.0) add_segment(segments, j, renewable_load, 0.0);
     if (cap > renewable_load) {
-      segments.push_back({j, cap - renewable_load, problem.prices[j] * slope});
+      add_segment(segments, j, cap - renewable_load, problem.prices[j] * slope);
     }
   }
-  const Vector lambda = fill_segments(segments, problem.portal_demands, n);
   GreenReferenceSolution solution;
-  if (lambda.empty()) return solution;
+  if (!fill_segments(scratch, problem.portal_demands, n)) return solution;
 
   solution.feasible = true;
-  solution.allocation = Allocation::unflatten(lambda, c, n);
-  solution.idc_loads = units::raw_vector(solution.allocation.idc_loads());
+  unflatten_into(scratch.lambda, c, n, solution.allocation);
+  solution.allocation.idc_loads_into(solution.idc_loads);
   solution.servers.resize(n);
   solution.power_w.resize(n);
   solution.brown_power_w.resize(n);

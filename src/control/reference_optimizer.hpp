@@ -63,6 +63,26 @@ struct ReferenceProblem {
   double peak_shadow_per_mwh = 0.0;
 };
 
+// Working buffers of solve_reference_into, kept with the solution so a
+// caller that reuses one solution reuses them too. Nothing here is part
+// of the result.
+struct ReferenceScratch {
+  // One piece of an IDC's piecewise-linear convex cost: up to `cap`
+  // req/s at `cost` per req/s. `rank` is its position before the sort
+  // (the equal-cost tie-break).
+  struct Segment {
+    std::size_t idc;
+    double cap;
+    double cost;
+    std::size_t rank;
+  };
+  std::vector<double> caps;
+  std::vector<Segment> segments;
+  std::vector<double> fill_loads;
+  std::vector<std::size_t> fill_order;  // loaded IDCs in fill order
+  std::vector<double> lambda;           // portal-major
+};
+
 struct ReferenceSolution {
   bool feasible = false;
   // True when budgets had to be dropped to serve the demand (the LP with
@@ -74,11 +94,20 @@ struct ReferenceSolution {
   std::vector<double> power_w;            // P_j(lambda_j, m_j)
   std::vector<double> reference_power_w;  // min(P_j, budget_j): MPC target
   double cost_rate_per_hour = 0.0;        // sum_j Pr_j P_j, $/h
+  ReferenceScratch scratch;
 };
 
-// Throws InvalidArgument on malformed input: size mismatches, negative
-// demand or shadow, or a non-finite price (the message names the IDC).
+// Throws InvalidArgument on malformed input: size mismatches, a negative
+// shadow, a negative or non-finite demand (the message names the portal
+// and the value), or a non-finite price (the message names the IDC).
 ReferenceSolution solve_reference(const ReferenceProblem& problem);
+
+// As solve_reference, into `solution`: every result field is overwritten
+// (an infeasible problem leaves the same fields as solve_reference
+// returns), and the vectors and scratch of a solution already sized for
+// this problem's portal and IDC counts are reused without allocating.
+void solve_reference_into(const ReferenceProblem& problem,
+                          ReferenceSolution& solution);
 
 // Largest load an IDC can carry with the latency bound met and power
 // under `budget_w` (inverts P = (b1 + b0/mu) lambda + b0/(mu D)); also

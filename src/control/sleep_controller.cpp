@@ -49,11 +49,19 @@ std::size_t SleepController::target_servers(std::size_t idc,
 std::vector<std::size_t> SleepController::step(
     const std::vector<double>& idc_loads,
     const std::vector<std::size_t>& previous) const {
+  std::vector<std::size_t> next;
+  step_into(idc_loads, previous, next);
+  return next;
+}
+
+void SleepController::step_into(const std::vector<double>& idc_loads,
+                                const std::vector<std::size_t>& previous,
+                                std::vector<std::size_t>& next) const {
   require(idc_loads.size() == idcs_.size(),
           "SleepController: load vector size mismatch");
   require(previous.size() == idcs_.size(),
           "SleepController: previous vector size mismatch");
-  std::vector<std::size_t> next(idcs_.size());
+  next.resize(idcs_.size());
   for (std::size_t j = 0; j < idcs_.size(); ++j) {
     std::size_t target = target_servers(j, idc_loads[j]);
     if (options_.max_ramp_per_step > 0) {
@@ -68,7 +76,6 @@ std::vector<std::size_t> SleepController::step(
     }
     next[j] = target;
   }
-  return next;
 }
 
 }  // namespace gridctl::control

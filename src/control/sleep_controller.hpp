@@ -37,6 +37,12 @@ class SleepController {
   // ramp-limited against `previous` when ramping is enabled.
   std::vector<std::size_t> step(const std::vector<double>& idc_loads,
                                 const std::vector<std::size_t>& previous) const;
+  // As step, into `next` (resized to the IDC count). Each entry depends
+  // only on the same IDC's load and previous count, so `next` may be
+  // `previous` itself.
+  void step_into(const std::vector<double>& idc_loads,
+                 const std::vector<std::size_t>& previous,
+                 std::vector<std::size_t>& next) const;
 
   std::size_t num_idcs() const { return idcs_.size(); }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -21,6 +22,13 @@ namespace {
 // Hessian and stall the iterative solver.
 constexpr double kRpsScale = 1e3;   // 1 input unit = 1000 req/s
 constexpr double kPowerScale = 1e6; // 1 output unit = 1 MW
+
+// out = s·in, elementwise: linalg::scale into a reused buffer.
+void scale_into(std::vector<double>& out, const std::vector<double>& in,
+                double s) {
+  out.resize(in.size());
+  for (std::size_t k = 0; k < in.size(); ++k) out[k] = in[k] * s;
+}
 
 // Degradation tier 2: re-apply the previous allocation, projected onto
 // the current constraint set — conservation against the live demand,
@@ -204,12 +212,11 @@ MpcPlant CostController::build_plant() const {
   return plant;
 }
 
-control::TransportConstraints CostController::build_constraints(
-    const std::vector<double>& portal_demands) const {
+void CostController::fill_constraints(
+    const std::vector<double>& portal_demands) {
   const std::size_t n = config_.idcs.size();
-  control::TransportConstraints constraints;
-  constraints.demand = linalg::scale(1.0 / kRpsScale, portal_demands);
-  constraints.cap_lower.assign(n, 0.0);
+  scale_into(constraints_.demand, portal_demands, 1.0 / kRpsScale);
+  constraints_.cap_lower.assign(n, 0.0);
 
   // Per-IDC load caps. Default (paper-faithful): capacity caps only —
   // budgets act through the clamped references, so compliance is
@@ -218,12 +225,11 @@ control::TransportConstraints CostController::build_constraints(
   // (serve the workload first, report the violation otherwise — matches
   // the reference optimizer's fallback). The same cap derivation backs
   // the invariant checker, so enforcement and checking cannot diverge.
-  const std::vector<double> caps = check::effective_load_caps(
-      config_.idcs, config_.power_budgets_w,
-      config_.params.budget_hard_constraints, portal_demands);
-  constraints.cap_upper = linalg::scale(1.0 / kRpsScale, caps);
-  constraints.nonnegative = true;
-  return constraints;
+  check::effective_load_caps_into(config_.idcs, config_.power_budgets_w,
+                                  config_.params.budget_hard_constraints,
+                                  portal_demands, caps_, caps_scratch_);
+  scale_into(constraints_.cap_upper, caps_, 1.0 / kRpsScale);
+  constraints_.nonnegative = true;
 }
 
 CostController::Decision CostController::step(
@@ -236,18 +242,37 @@ CostController::Decision CostController::step(
     const std::vector<units::PricePerMwh>& prices,
     const std::vector<units::Rps>& portal_demands,
     const std::vector<std::vector<units::PricePerMwh>>& price_preview) {
-  const std::size_t n = config_.idcs.size();
-  require(prices.size() == n, "CostController: price size mismatch");
-  require(portal_demands.size() == config_.portals,
-          "CostController: demand size mismatch");
-
   Decision decision;
+  step_into(prices, portal_demands, price_preview, decision);
+  return decision;
+}
+
+void CostController::step_into(const std::vector<units::PricePerMwh>& prices,
+                               const std::vector<units::Rps>& portal_demands,
+                               Decision& decision) {
+  step_into(prices, portal_demands, {}, decision);
+}
+
+void CostController::step_into(
+    const std::vector<units::PricePerMwh>& prices,
+    const std::vector<units::Rps>& portal_demands,
+    const std::vector<std::vector<units::PricePerMwh>>& price_preview,
+    Decision& decision) {
+  const std::size_t n = config_.idcs.size();
+  const std::size_t c = config_.portals;
+  require(prices.size() == n, "CostController: price size mismatch");
+  require(portal_demands.size() == c, "CostController: demand size mismatch");
 
   // Availability knob: when the offered load exceeds what the fleet can
   // absorb under the latency bounds, optionally shed proportionally
   // instead of failing. From here down the controller works on raw
   // req/s buffers: everything feeds the solver-side constraint rows.
-  std::vector<double> served_demands = units::raw_vector(portal_demands);
+  std::vector<double>& served_demands = served_;
+  served_demands.resize(c);
+  for (std::size_t i = 0; i < c; ++i) {
+    served_demands[i] = portal_demands[i].value();
+  }
+  decision.shed_fraction = 0.0;
   if (config_.params.allow_load_shedding) {
     double capacity = 0.0;
     for (const auto& idc : config_.idcs) capacity += idc.max_capacity().value();
@@ -260,16 +285,29 @@ CostController::Decision CostController::step(
     }
   }
 
+  // Paper Sec. IV-D: with trajectory references (or a price preview) the
+  // references follow the *predicted* workload and the future prices
+  // across the horizon — one LP per prediction step.
+  const std::size_t beta1 = config_.params.horizons.prediction;
+  const bool trajectory_references =
+      (config_.params.predict_workload && config_.params.reference_trajectory) ||
+      !price_preview.empty();
+
   // Workload prediction feeds the reference optimizer; the conservation
   // constraint always uses the (possibly shed) measured demand. An AR
   // extrapolation can overshoot a burst beyond what the fleet can carry,
   // so predictions are clamped to the serviceable total — the reference
-  // must stay solvable even when the forecast is wrong.
+  // must stay solvable even when the forecast is wrong. Each portal's
+  // 1..steps predictions come from one pass of its recursion.
   decision.predicted_demands = served_demands;
+  const std::size_t steps = trajectory_references ? beta1 : 1;
   if (config_.params.predict_workload) {
-    for (std::size_t i = 0; i < config_.portals; ++i) {
+    predicted_.resize(c * steps);
+    for (std::size_t i = 0; i < c; ++i) {
       predictors_[i].observe(served_demands[i]);
-      decision.predicted_demands[i] = predictors_[i].predict(1);
+      predictors_[i].predict_into(
+          std::span<double>(predicted_.data() + i * steps, steps));
+      decision.predicted_demands[i] = predicted_[i * steps];
     }
     double fleet_capacity = 0.0;
     for (const auto& idc : config_.idcs) {
@@ -309,30 +347,31 @@ CostController::Decision CostController::step(
                                       rate_per_kw * 1e3 /
                                       config_.billing.cycle_hours;
   }
-  decision.reference = control::solve_reference(ref_problem);
+  control::solve_reference_into(ref_problem, decision.reference);
   require(decision.reference.feasible,
           "CostController: demand exceeds fleet capacity");
 
   // Fast loop: MPC tracks the reference power with move penalties.
-  mpc_->set_constraints(build_constraints(served_demands));
+  fill_constraints(served_demands);
+  mpc_->set_constraints(constraints_);
   control::MpcStep& step_input = mpc_input_;
   step_input.x.clear();
-  step_input.u_prev = linalg::scale(1.0 / kRpsScale, allocation_.flatten());
-  step_input.references.assign(
-      1,
-      linalg::scale(1.0 / kPowerScale, decision.reference.reference_power_w));
-  const bool trajectory_references =
-      (config_.params.predict_workload && config_.params.reference_trajectory) ||
-      !price_preview.empty();
-  if (trajectory_references) {
-    // Paper Sec. IV-D: references follow the *predicted* workload (and,
-    // when previewed, the future prices) across the horizon — one LP per
-    // prediction step.
-    step_input.references.clear();
-    for (std::size_t s = 1; s <= config_.params.horizons.prediction; ++s) {
+  step_input.u_prev.resize(c * n);
+  for (std::size_t i = 0; i < c; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      step_input.u_prev[i * n + j] = allocation_.at(i, j) * (1.0 / kRpsScale);
+    }
+  }
+  if (!trajectory_references) {
+    step_input.references.resize(1);
+    scale_into(step_input.references[0],
+               decision.reference.reference_power_w, 1.0 / kPowerScale);
+  } else {
+    step_input.references.resize(beta1);
+    for (std::size_t s = 1; s <= beta1; ++s) {
       if (config_.params.predict_workload) {
-        for (std::size_t i = 0; i < config_.portals; ++i) {
-          ref_problem.portal_demands[i] = predictors_[i].predict(s);
+        for (std::size_t i = 0; i < c; ++i) {
+          ref_problem.portal_demands[i] = predicted_[i * steps + (s - 1)];
         }
       }
       if (!price_preview.empty()) {
@@ -345,11 +384,11 @@ CostController::Decision CostController::step(
                 "CostController: price preview row size mismatch");
         set_prices(row);
       }
-      const auto solution = control::solve_reference(ref_problem);
-      step_input.references.push_back(linalg::scale(
-          1.0 / kPowerScale, solution.feasible
-                                 ? solution.reference_power_w
-                                 : decision.reference.reference_power_w));
+      control::solve_reference_into(ref_problem, ahead_);
+      scale_into(step_input.references[s - 1],
+                 ahead_.feasible ? ahead_.reference_power_w
+                                 : decision.reference.reference_power_w,
+                 1.0 / kPowerScale);
     }
     // The billing meter below prices this period at today's prices.
     if (!price_preview.empty()) set_prices(prices);
@@ -359,8 +398,7 @@ CostController::Decision CostController::step(
   decision.mpc_status = mpc_result.status;
   decision.mpc_iterations = mpc_result.solver_iterations;
   decision.mpc_warm_started = mpc_result.warm_started;
-  decision.predicted_power_w =
-      linalg::scale(kPowerScale, mpc_result.predicted_y);
+  scale_into(decision.predicted_power_w, mpc_result.predicted_y, kPowerScale);
 
   if (mpc_result.status == solvers::QpStatus::kOptimal) {
     decision.fallback_tier = mpc_result.used_fallback_backend
@@ -369,9 +407,10 @@ CostController::Decision CostController::step(
     // The QP enforces U >= 0 and conservation only to its convergence
     // tolerance; clamp negatives and rescale each portal row so the
     // conservation invariant holds exactly.
-    Vector u = linalg::scale(kRpsScale, mpc_result.u);
+    Vector& u = u_;
+    scale_into(u, mpc_result.u, kRpsScale);
     for (double& v : u) v = std::max(v, 0.0);
-    for (std::size_t i = 0; i < config_.portals; ++i) {
+    for (std::size_t i = 0; i < c; ++i) {
       double row_sum = 0.0;
       for (std::size_t j = 0; j < n; ++j) row_sum += u[i * n + j];
       if (row_sum > 0.0) {
@@ -384,7 +423,9 @@ CostController::Decision CostController::step(
         }
       }
     }
-    allocation_ = Allocation::unflatten(u, config_.portals, n);
+    for (std::size_t i = 0; i < c; ++i) {
+      for (std::size_t j = 0; j < n; ++j) allocation_.at(i, j) = u[i * n + j];
+    }
   } else {
     // Degradation tier 2: neither backend converged. Holding the last
     // feasible allocation (projected onto the current constraints)
@@ -396,8 +437,7 @@ CostController::Decision CostController::step(
     const std::vector<double> caps = check::effective_load_caps(
         config_.idcs, config_.power_budgets_w,
         config_.params.budget_hard_constraints, served_demands);
-    Allocation held(config_.portals == 0 ? 1 : config_.portals,
-                    n == 0 ? 1 : n);
+    Allocation held(c, n);
     if (project_hold_allocation(allocation_, decision.reference.allocation,
                                 served_demands, caps, held)) {
       allocation_ = std::move(held);
@@ -414,7 +454,6 @@ CostController::Decision CostController::step(
   }
 
   finish_decision(decision, served_demands, ref_problem.prices);
-  return decision;
 }
 
 // Battery dispatch (fast loop): each battery-equipped IDC smooths its
@@ -475,10 +514,18 @@ void CostController::finish_decision(Decision& decision,
   // Wall time of this period's start, before the step counter advances.
   const units::Seconds now =
       config_.start_time_s + config_.period_s * static_cast<double>(step_count_);
+  // A reused decision keeps the storage columns only while they apply.
   if (battery_active_ || billing_) {
     decision.grid_power_w = decision.predicted_power_w;
+  } else {
+    decision.grid_power_w.clear();
   }
-  if (battery_active_) dispatch_batteries(decision);
+  if (battery_active_) {
+    dispatch_batteries(decision);
+  } else {
+    decision.battery_w.clear();
+    decision.battery_soc_j.clear();
+  }
   if (billing_) {
     billing_->observe(now, config_.period_s, decision.grid_power_w,
                       prices_per_mwh);
@@ -488,12 +535,12 @@ void CostController::finish_decision(Decision& decision,
   // only *raised* when the new allocation would otherwise violate the
   // latency bound (safety overrides the slow-rate schedule).
   const std::size_t k = std::max<std::size_t>(config_.params.sleep_every_k_steps, 1);
+  allocation_.idc_loads_into(loads_);
   if (step_count_ % k == 0) {
-    servers_ = sleep_.step(units::raw_vector(allocation_.idc_loads()), servers_);
+    sleep_.step_into(loads_, servers_, servers_);
   } else {
-    const auto loads = allocation_.idc_loads();
     for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t needed = sleep_.target_servers(j, loads[j].value());
+      const std::size_t needed = sleep_.target_servers(j, loads_[j]);
       if (needed > servers_[j]) servers_[j] = needed;
     }
   }
@@ -501,16 +548,19 @@ void CostController::finish_decision(Decision& decision,
 
   decision.allocation = allocation_;
   decision.servers = servers_;
+  decision.invariants = {};
   if (checker_) {
     // Throws InvariantViolationError in strict mode.
-    decision.violations = checker_->check(decision.allocation, decision.servers,
-                                          decision.predicted_power_w,
-                                          served_demands, decision.battery_soc_j,
-                                          decision.battery_w);
+    checker_->check_into(decision.allocation, decision.servers,
+                         decision.predicted_power_w, served_demands,
+                         decision.battery_soc_j, decision.battery_w,
+                         decision.violations);
     decision.invariants.checks = 1;
     for (const auto& violation : decision.violations) {
       ++decision.invariants.by_kind[static_cast<std::size_t>(violation.kind)];
     }
+  } else {
+    decision.violations.clear();
   }
 }
 

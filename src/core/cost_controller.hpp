@@ -137,6 +137,20 @@ class CostController {
       const std::vector<units::Rps>& portal_demands,
       const std::vector<std::vector<units::PricePerMwh>>& price_preview);
 
+  // The two steps above, into a caller-owned decision. Every field of
+  // `decision` is rewritten, and its vectors keep their storage: with a
+  // decision reused across periods, a condensed-backend period performs
+  // no heap allocation once warmed up (only the dense QP backend and the
+  // fallback tiers still allocate). The by-value steps wrap these.
+  void step_into(const std::vector<units::PricePerMwh>& prices,
+                 const std::vector<units::Rps>& portal_demands,
+                 Decision& decision);
+  void step_into(
+      const std::vector<units::PricePerMwh>& prices,
+      const std::vector<units::Rps>& portal_demands,
+      const std::vector<std::vector<units::PricePerMwh>>& price_preview,
+      Decision& decision);
+
   // Degraded control period for deadline-missed ticks: skips the
   // reference LPs and the MPC QP entirely and re-applies the previous
   // allocation projected onto this period's conservation + cap
@@ -183,8 +197,7 @@ class CostController {
 
  private:
   control::MpcPlant build_plant() const;
-  control::TransportConstraints build_constraints(
-      const std::vector<double>& portal_demands) const;
+  void fill_constraints(const std::vector<double>& portal_demands);
   void finish_decision(Decision& decision,
                        const std::vector<double>& served_demands,
                        const std::vector<double>& prices_per_mwh);
@@ -202,6 +215,18 @@ class CostController {
   control::ReferenceProblem ref_problem_;
   control::MpcStep mpc_input_;     // per-tick arena for the MPC call
   control::MpcResult mpc_result_;
+  // Further per-tick buffers, sized by the first step: the served
+  // demands, each portal's β1-step prediction (portal-major), the
+  // look-ahead reference solution, the MPC constraints with their caps,
+  // the scaled QP move and the applied per-IDC loads.
+  std::vector<double> served_;
+  std::vector<double> predicted_;
+  control::ReferenceSolution ahead_;
+  control::TransportConstraints constraints_;
+  std::vector<double> caps_;
+  std::vector<double> caps_scratch_;
+  linalg::Vector u_;
+  std::vector<double> loads_;
   std::optional<check::InvariantChecker> checker_;
   std::optional<market::BillingMeter> billing_;
   bool battery_active_ = false;

@@ -268,13 +268,39 @@ double PeriodKernel::advance(std::uint64_t step, const PolicyDecision& decision,
                              const std::vector<units::PricePerMwh>& prices,
                              const std::vector<units::Rps>& demands,
                              engine::RunTelemetry* telemetry) {
+  return advance_move(
+      step,
+      {decision.allocation, decision.servers, decision.battery_w,
+       decision.battery_soc_j, decision.solver, decision.invariants},
+      prices, demands, telemetry);
+}
+
+double PeriodKernel::advance(std::uint64_t step,
+                             const CostController::Decision& decision,
+                             const std::vector<units::PricePerMwh>& prices,
+                             const std::vector<units::Rps>& demands,
+                             engine::RunTelemetry* telemetry) {
+  return advance_move(
+      step,
+      {decision.allocation, decision.servers, decision.battery_w,
+       decision.battery_soc_j,
+       SolverTelemetry{decision.mpc_status, decision.mpc_iterations,
+                       decision.mpc_warm_started, decision.fallback_tier},
+       decision.invariants},
+      prices, demands, telemetry);
+}
+
+double PeriodKernel::advance_move(std::uint64_t step, const AppliedMove& move,
+                                  const std::vector<units::PricePerMwh>& prices,
+                                  const std::vector<units::Rps>& demands,
+                                  engine::RunTelemetry* telemetry) {
   const auto decide_end = clock_type::now();
   const std::size_t n = fleet_.size();
   const units::Seconds ts = scenario_.ts_s;
   const units::Seconds t =
       scenario_.start_time_s + static_cast<double>(step) * ts;
 
-  fleet_.set_operating_point(decision.allocation, decision.servers);
+  fleet_.set_operating_point(move.allocation, move.servers);
   fleet_.advance(ts, prices);
   for (std::size_t j = 0; j < n; ++j) {
     last_power_w_[j] = fleet_.idc(j).power_w().value();
@@ -284,12 +310,11 @@ double PeriodKernel::advance(std::uint64_t step, const PolicyDecision& decision,
     // clamped at zero (a battery cannot push power into the grid).
     // Demand-responsive price models then see the metered series.
     for (std::size_t j = 0; j < n; ++j) {
-      const double dispatch =
-          decision.battery_w.empty() ? 0.0 : decision.battery_w[j];
+      const double dispatch = move.battery_w.empty() ? 0.0 : move.battery_w[j];
       grid_w_[j] = std::max(0.0, last_power_w_[j] - dispatch);
       last_power_w_[j] = grid_w_[j];
     }
-    if (!decision.battery_soc_j.empty()) soc_j_ = decision.battery_soc_j;
+    if (!move.battery_soc_j.empty()) soc_j_ = move.battery_soc_j;
   }
   for (std::size_t j = 0; j < n; ++j) {
     const auto& idc = fleet_.idc(j);
@@ -310,13 +335,12 @@ double PeriodKernel::advance(std::uint64_t step, const PolicyDecision& decision,
     telemetry->plant_s += seconds_between(decide_end, plant_end);
     telemetry->record_s += seconds_between(plant_end, step_end);
     telemetry->step_hist.record(step_wall_s * 1e6);
-    if (decision.solver) {
-      telemetry->record_solver(decision.solver->status,
-                               decision.solver->iterations,
-                               decision.solver->warm_started,
-                               decision.solver->fallback_tier);
+    if (move.solver) {
+      telemetry->record_solver(move.solver->status, move.solver->iterations,
+                               move.solver->warm_started,
+                               move.solver->fallback_tier);
     }
-    telemetry->record_invariants(decision.invariants);
+    telemetry->record_invariants(move.invariants);
   }
   return step_wall_s;
 }

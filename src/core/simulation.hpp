@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -195,6 +196,12 @@ class PeriodKernel {
                  const std::vector<units::PricePerMwh>& prices,
                  const std::vector<units::Rps>& demands,
                  engine::RunTelemetry* telemetry);
+  // The same for a CostController decision, read in place: a caller that
+  // reuses one Decision across periods keeps its storage.
+  double advance(std::uint64_t step, const CostController::Decision& decision,
+                 const std::vector<units::PricePerMwh>& prices,
+                 const std::vector<units::Rps>& demands,
+                 engine::RunTelemetry* telemetry);
 
   SimulationSummary summarize() const;
 
@@ -219,6 +226,20 @@ class PeriodKernel {
   void restore(SimulationTrace trace, std::vector<double> last_power_w);
 
  private:
+  // The parts of a decision `advance` applies and counts.
+  struct AppliedMove {
+    const datacenter::Allocation& allocation;
+    const std::vector<std::size_t>& servers;
+    const std::vector<double>& battery_w;
+    const std::vector<double>& battery_soc_j;
+    std::optional<SolverTelemetry> solver;
+    const check::InvariantCounts& invariants;
+  };
+  double advance_move(std::uint64_t step, const AppliedMove& move,
+                      const std::vector<units::PricePerMwh>& prices,
+                      const std::vector<units::Rps>& demands,
+                      engine::RunTelemetry* telemetry);
+
   const Scenario& scenario_;
   datacenter::Fleet fleet_;
   std::vector<datacenter::FluidQueue> queues_;

@@ -35,6 +35,11 @@ std::vector<units::Rps> Allocation::idc_loads() const {
   return loads;
 }
 
+void Allocation::idc_loads_into(std::vector<double>& loads) const {
+  loads.resize(idcs());
+  for (std::size_t j = 0; j < loads.size(); ++j) loads[j] = idc_load(j).value();
+}
+
 units::Rps Allocation::portal_load(std::size_t portal) const {
   double total = 0.0;
   for (std::size_t j = 0; j < lambda_.cols(); ++j) total += lambda_(portal, j);

@@ -34,6 +34,9 @@ class Allocation {
   // Total load arriving at IDC j (eq. 4).
   units::Rps idc_load(std::size_t idc) const;
   std::vector<units::Rps> idc_loads() const;
+  // The same sums as raw req/s into a caller-owned buffer (resized to
+  // idcs(); no allocation once sized) for the per-period hot paths.
+  void idc_loads_into(std::vector<double>& loads) const;
   // Total load emitted by portal i (should equal L_i, eq. 2).
   units::Rps portal_load(std::size_t portal) const;
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace gridctl::runtime {
 
@@ -256,11 +257,39 @@ core::CostController::State controller_from_json(const JsonValue& json) {
     state.mpc_warm_dual = doubles_from_json(json.at("mpc_warm_dual"));
   }
   for (const auto& p : json.at("predictors").as_array()) {
+    const std::size_t i = state.predictors.size();
     workload::ArPredictor::State predictor;
     predictor.theta = doubles_from_json(p.at("theta"));
     predictor.covariance = matrix_from_json(p.at("covariance"));
     predictor.updates = static_cast<std::size_t>(as_u64(p.at("updates")));
     predictor.history = doubles_from_json(p.at("history"));
+    // The AR order is theta's length; the covariance and the history
+    // must agree with it, and a history sample is a workload (a negative
+    // one would corrupt the regressor or the first resumed reference).
+    const std::size_t order = predictor.theta.size();
+    if (predictor.covariance.rows() != order ||
+        predictor.covariance.cols() != order) {
+      throw InvalidArgument(
+          format("checkpoint: controller.predictors[%zu].covariance is "
+                 "%zux%zu, theta has order %zu",
+                 i, predictor.covariance.rows(), predictor.covariance.cols(),
+                 order));
+    }
+    if (predictor.history.size() > order) {
+      throw InvalidArgument(
+          format("checkpoint: controller.predictors[%zu].history holds %zu "
+                 "samples, more than the order %zu",
+                 i, predictor.history.size(), order));
+    }
+    for (std::size_t k = 0; k < predictor.history.size(); ++k) {
+      const double sample = predictor.history[k];
+      if (!(std::isfinite(sample) && sample >= 0.0)) {
+        throw InvalidArgument(
+            format("checkpoint: controller.predictors[%zu].history[%zu] is "
+                   "%g (a workload sample must be finite and >= 0)",
+                   i, k, sample));
+      }
+    }
     state.predictors.push_back(std::move(predictor));
   }
   // Schema /1 checkpoints predate billing and storage; the defaults
@@ -436,6 +465,15 @@ void RuntimeCheckpoint::validate_for(const core::Scenario& scenario) const {
           "checkpoint: controller allocation size mismatch");
   require(controller.servers.size() == n,
           "checkpoint: controller server vector size mismatch");
+  for (std::size_t i = 0; i < controller.predictors.size(); ++i) {
+    const std::size_t order = controller.predictors[i].theta.size();
+    if (order != scenario.controller.ar_order) {
+      throw InvalidArgument(
+          format("checkpoint: controller.predictors[%zu].theta has order %zu, "
+                 "the scenario's ar_order is %zu",
+                 i, order, scenario.controller.ar_order));
+    }
+  }
   // Row 0 is the warm-start record; one more row per executed step.
   require(trace.time_s.size() == next_step + 1,
           "checkpoint: trace length inconsistent with next_step");

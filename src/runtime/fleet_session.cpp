@@ -208,14 +208,24 @@ void FleetSession::execute_step(std::uint64_t step) {
   degrade_pending_ = false;
   // The held feed payloads are raw buffers (the checkpoint schema pins
   // them); type them once per step at the controller boundary.
-  const auto prices = units::typed_vector<units::PricePerMwh>(held_prices_);
-  const auto demands = units::typed_vector<units::Rps>(held_demands_);
-  const core::PolicyDecision decision = core::to_policy_decision(
-      degraded ? controller_->step_degraded(prices, demands)
-               : controller_->step(prices, demands));
-  if (degraded) ++stats_.degraded_steps;
+  std::vector<units::PricePerMwh>& prices = step_prices_;
+  std::vector<units::Rps>& demands = step_demands_;
+  prices.resize(held_prices_.size());
+  for (std::size_t j = 0; j < prices.size(); ++j) {
+    prices[j] = units::PricePerMwh{held_prices_[j]};
+  }
+  demands.resize(held_demands_.size());
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    demands[i] = units::Rps{held_demands_[i]};
+  }
+  if (degraded) {
+    decision_ = controller_->step_degraded(prices, demands);
+    ++stats_.degraded_steps;
+  } else {
+    controller_->step_into(prices, demands, decision_);
+  }
   const double step_wall_s =
-      kernel_.advance(step, decision, prices, demands, &telemetry_);
+      kernel_.advance(step, decision_, prices, demands, &telemetry_);
 
   if (step_wall_s > stats_.deadline_s) {
     ++stats_.deadline_misses;

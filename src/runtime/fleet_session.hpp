@@ -256,6 +256,12 @@ class FleetSession {
   std::uint64_t price_ticks_consumed_ GRIDCTL_GUARDED_BY(control_role_) = 0;
   std::uint64_t workload_ticks_consumed_ GRIDCTL_GUARDED_BY(control_role_) = 0;
   bool degrade_pending_ GRIDCTL_GUARDED_BY(control_role_) = false;
+  // Per-period buffers kept across steps so a full period reuses their
+  // storage: the typed held feed values and the controller's decision.
+  std::vector<units::PricePerMwh> step_prices_
+      GRIDCTL_GUARDED_BY(control_role_);
+  std::vector<units::Rps> step_demands_ GRIDCTL_GUARDED_BY(control_role_);
+  core::CostController::Decision decision_ GRIDCTL_GUARDED_BY(control_role_);
 
   engine::RunTelemetry telemetry_ GRIDCTL_GUARDED_BY(control_role_);
   RuntimeStats stats_ GRIDCTL_GUARDED_BY(control_role_);

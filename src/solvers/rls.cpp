@@ -17,6 +17,8 @@ RecursiveLeastSquares::RecursiveLeastSquares(std::size_t dimension,
   require(forgetting > 0.0 && forgetting <= 1.0,
           "RLS: forgetting factor must be in (0, 1]");
   require(initial_covariance > 0.0, "RLS: initial covariance must be positive");
+  p_phi_.assign(dim_, 0.0);
+  gain_.assign(dim_, 0.0);
   reset();
 }
 
@@ -38,27 +40,41 @@ void RecursiveLeastSquares::restore(const Vector& theta,
   updates_ = updates;
 }
 
-double RecursiveLeastSquares::predict(const Vector& phi) const {
-  return linalg::dot(phi, theta_);
+double RecursiveLeastSquares::predict(std::span<const double> phi) const {
+  require(phi.size() == dim_, "RLS: regressor dimension mismatch");
+  double sum = 0.0;
+  for (std::size_t i = 0; i < dim_; ++i) sum += phi[i] * theta_[i];
+  return sum;
 }
 
-double RecursiveLeastSquares::update(const Vector& phi, double y) {
+// Each line below keeps the operation order of the matrix/vector
+// helpers it replaces (row-major GEMV, dot, scale, axpy, element-wise
+// P - k(Pφ)ᵀ, then ·1/λ), so a fitted estimator's bits do not depend
+// on whether it ran through temporaries or through the scratch.
+double RecursiveLeastSquares::update(std::span<const double> phi, double y) {
   require(phi.size() == dim_, "RLS: regressor dimension mismatch");
   const double error = y - predict(phi);
   // Gain k = P phi / (lambda + phiᵀ P phi).
-  const Vector p_phi = p_ * phi;
-  const double denom = forgetting_ + linalg::dot(phi, p_phi);
-  const Vector gain = linalg::scale(1.0 / denom, p_phi);
-  linalg::axpy(error, gain, theta_);
+  for (std::size_t r = 0; r < dim_; ++r) {
+    const double* row = p_.data() + r * dim_;
+    double sum = 0.0;
+    for (std::size_t c = 0; c < dim_; ++c) sum += row[c] * phi[c];
+    p_phi_[r] = sum;
+  }
+  double phi_p_phi = 0.0;
+  for (std::size_t i = 0; i < dim_; ++i) phi_p_phi += phi[i] * p_phi_[i];
+  const double denom = forgetting_ + phi_p_phi;
+  const double inv_denom = 1.0 / denom;
+  for (std::size_t i = 0; i < dim_; ++i) gain_[i] = p_phi_[i] * inv_denom;
+  for (std::size_t i = 0; i < dim_; ++i) theta_[i] += error * gain_[i];
   // P <- (P - k phiᵀ P) / lambda, symmetrized against drift.
-  Matrix update(dim_, dim_);
+  const double inv_forgetting = 1.0 / forgetting_;
   for (std::size_t i = 0; i < dim_; ++i) {
     for (std::size_t j = 0; j < dim_; ++j) {
-      update(i, j) = gain[i] * p_phi[j];
+      const double rank_one = gain_[i] * p_phi_[j];
+      p_(i, j) = (p_(i, j) - rank_one) * inv_forgetting;
     }
   }
-  p_ -= update;
-  p_ *= 1.0 / forgetting_;
   for (std::size_t i = 0; i < dim_; ++i) {
     for (std::size_t j = i + 1; j < dim_; ++j) {
       const double mean = 0.5 * (p_(i, j) + p_(j, i));

@@ -4,7 +4,12 @@
 // predictor (paper Sec. III-D) uses this to fit the AR(p) coefficients
 // of the arrival process; ref. [18] of the paper describes the same
 // estimator in a utilization-control setting.
+//
+// `update` runs in member scratch (P·φ and the gain), so a fitted
+// estimator performs no heap allocation per sample.
 #pragma once
+
+#include <span>
 
 #include "linalg/matrix.hpp"
 
@@ -21,10 +26,15 @@ class RecursiveLeastSquares {
 
   // Incorporate one observation pair (phi, y). Returns the a-priori
   // prediction error y - phiᵀtheta (before the update).
-  double update(const linalg::Vector& phi, double y);
+  double update(std::span<const double> phi, double y);
+  // Keeps braced-list calls such as update({x}, y) compiling: a span
+  // does not bind to an initializer list.
+  double update(const linalg::Vector& phi, double y) {
+    return update(std::span<const double>(phi), y);
+  }
 
   // Predicted output for a regressor.
-  double predict(const linalg::Vector& phi) const;
+  double predict(std::span<const double> phi) const;
 
   const linalg::Vector& theta() const { return theta_; }
   const linalg::Matrix& covariance() const { return p_; }
@@ -45,6 +55,9 @@ class RecursiveLeastSquares {
   linalg::Vector theta_;
   linalg::Matrix p_;
   std::size_t updates_ = 0;
+  // update() scratch: P·φ and the gain k.
+  linalg::Vector p_phi_;
+  linalg::Vector gain_;
 };
 
 }  // namespace gridctl::solvers

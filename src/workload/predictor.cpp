@@ -1,45 +1,66 @@
 #include "workload/predictor.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace gridctl::workload {
 
 ArPredictor::ArPredictor(std::size_t order, double forgetting)
-    : order_(order), rls_(order, forgetting) {
+    : order_(order), rls_(order, forgetting), ring_(2 * order, 0.0) {
   require(order > 0, "ArPredictor: order must be positive");
+}
+
+void ArPredictor::push(double sample) {
+  head_ = head_ == 0 ? order_ - 1 : head_ - 1;
+  ring_[head_] = sample;
+  ring_[head_ + order_] = sample;
+  if (count_ < order_) ++count_;
 }
 
 double ArPredictor::observe(double sample) {
   double error = 0.0;
   if (warmed_up()) {
-    linalg::Vector phi(history_.begin(),
-                       history_.begin() + static_cast<std::ptrdiff_t>(order_));
-    error = rls_.update(phi, sample);
+    error = rls_.update(
+        std::span<const double>(ring_.data() + head_, order_), sample);
   }
-  history_.push_front(sample);
-  if (history_.size() > order_) history_.pop_back();
+  push(sample);
   return error;
+}
+
+void ArPredictor::predict_into(std::span<double> out) const {
+  if (!warmed_up() || rls_.updates() == 0) {
+    // Nothing seen yet, or the persistence fallback.
+    const double value = count_ == 0 ? 0.0 : recent(0);
+    for (double& v : out) v = value;
+    return;
+  }
+  // Iterate the AR recursion, feeding predictions back in: the i-th
+  // regressor entry of step s is out[s-1-i] while i < s, and the
+  // (i-s)-th most recent sample after that. The sum runs in regressor
+  // order like RecursiveLeastSquares::predict.
+  const linalg::Vector& theta = rls_.theta();
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < order_; ++i) {
+      const double regressor = i < s ? out[s - 1 - i] : recent(i - s);
+      sum += regressor * theta[i];
+    }
+    out[s] = std::max(0.0, sum);
+  }
 }
 
 double ArPredictor::predict(std::size_t horizon) const {
   require(horizon >= 1, "ArPredictor: horizon must be >= 1");
-  if (history_.empty()) return 0.0;
-  if (!warmed_up() || rls_.updates() == 0) {
-    return history_.front();  // persistence fallback
-  }
-  // Iterate the AR recursion, feeding predictions back in.
-  std::deque<double> window = history_;
-  double value = 0.0;
-  for (std::size_t step = 0; step < horizon; ++step) {
-    linalg::Vector phi(window.begin(),
-                       window.begin() + static_cast<std::ptrdiff_t>(order_));
-    value = std::max(0.0, rls_.predict(phi));
-    window.push_front(value);
-    window.pop_back();
-  }
-  return value;
+  return predict_trajectory(horizon).back();
+}
+
+std::vector<double> ArPredictor::predict_trajectory(std::size_t h) const {
+  std::vector<double> out(h);
+  predict_into(out);
+  return out;
 }
 
 ArPredictor::State ArPredictor::snapshot() const {
@@ -47,22 +68,28 @@ ArPredictor::State ArPredictor::snapshot() const {
   state.theta = rls_.theta();
   state.covariance = rls_.covariance();
   state.updates = rls_.updates();
-  state.history.assign(history_.begin(), history_.end());
+  state.history.assign(ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                       ring_.begin() +
+                           static_cast<std::ptrdiff_t>(head_ + count_));
   return state;
 }
 
 void ArPredictor::restore(const State& state) {
   require(state.history.size() <= order_,
           "ArPredictor: restored history longer than the AR order");
+  for (std::size_t k = 0; k < state.history.size(); ++k) {
+    const double sample = state.history[k];
+    if (!std::isfinite(sample) || sample < 0.0) {
+      throw InvalidArgument(format(
+          "ArPredictor: restored history[%zu] is %g (must be finite and >= 0)",
+          k, sample));
+    }
+  }
   rls_.restore(state.theta, state.covariance, state.updates);
-  history_.assign(state.history.begin(), state.history.end());
-}
-
-std::vector<double> ArPredictor::predict_trajectory(std::size_t h) const {
-  std::vector<double> out;
-  out.reserve(h);
-  for (std::size_t step = 1; step <= h; ++step) out.push_back(predict(step));
-  return out;
+  // Oldest first, so the newest sample ends at head_.
+  head_ = 0;
+  count_ = 0;
+  for (std::size_t k = state.history.size(); k-- > 0;) push(state.history[k]);
 }
 
 PredictionStats evaluate_one_step(ArPredictor& predictor,

@@ -3,13 +3,22 @@
 //
 //   mu(k) = sum_{s=1..p} alpha_s mu(k-s) + eps(k)
 //
-// `observe` feeds one sample per period; `predict` extrapolates h steps
-// ahead by iterating the fitted recursion. Until p samples have been
-// seen, predictions fall back to the last observation (persistence).
+// `observe` feeds one sample per period. `predict_into` runs the fitted
+// recursion once, feeding each prediction back in, and writes the
+// 1..h-step predictions; `predict(s)` and `predict_trajectory(h)` are
+// views of that same pass (the s-step prediction is the s-th value of
+// it), so every entry point returns the same bits. Until p samples have
+// been seen, predictions fall back to the last observation
+// (persistence).
+//
+// The history is a fixed ring of p samples (stored twice, so the
+// newest-first window is always contiguous) and the RLS update runs in
+// its own scratch: after construction, `observe` and `predict_into`
+// perform no heap allocation.
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "solvers/rls.hpp"
@@ -42,17 +51,30 @@ class ArPredictor {
   // Predicted trajectory for horizons 1..h.
   std::vector<double> predict_trajectory(std::size_t h) const;
 
-  bool warmed_up() const { return history_.size() >= order_; }
+  // out[s-1] = predict(s) for s = 1..out.size(), in one pass.
+  void predict_into(std::span<double> out) const;
+
+  bool warmed_up() const { return count_ >= order_; }
   std::size_t order() const { return order_; }
   const linalg::Vector& coefficients() const { return rls_.theta(); }
 
   State snapshot() const;
+  // Throws InvalidArgument on a history longer than the order, a
+  // negative or non-finite sample, or RLS state of another order.
   void restore(const State& state);
 
  private:
+  // The i-th most recent sample (i < count_).
+  double recent(std::size_t i) const { return ring_[head_ + i]; }
+  void push(double sample);
+
   std::size_t order_;
   solvers::RecursiveLeastSquares rls_;
-  std::deque<double> history_;  // most recent first
+  // Mirrored ring: each sample is stored at head_ and head_ + order_, so
+  // ring_[head_ .. head_ + order_) is always the newest-first window.
+  std::vector<double> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;  // samples held, <= order_
 };
 
 // Prediction-quality summary used by the Fig. 3 benchmark and tests.

@@ -353,6 +353,53 @@ TEST(ReferenceOracle, GreedyMatchesSimplexOnRandomProblems) {
   EXPECT_GT(negative, 100u);
 }
 
+// Every result field of two solutions, exactly.
+void expect_same_solution(const ReferenceSolution& into,
+                          const ReferenceSolution& fresh) {
+  EXPECT_EQ(into.feasible, fresh.feasible);
+  EXPECT_EQ(into.budgets_relaxed, fresh.budgets_relaxed);
+  ASSERT_EQ(into.allocation.portals(), fresh.allocation.portals());
+  ASSERT_EQ(into.allocation.idcs(), fresh.allocation.idcs());
+  for (std::size_t i = 0; i < fresh.allocation.portals(); ++i) {
+    for (std::size_t j = 0; j < fresh.allocation.idcs(); ++j) {
+      EXPECT_EQ(into.allocation.at(i, j), fresh.allocation.at(i, j))
+          << i << "," << j;
+    }
+  }
+  EXPECT_EQ(into.idc_loads, fresh.idc_loads);
+  EXPECT_EQ(into.servers, fresh.servers);
+  EXPECT_EQ(into.power_w, fresh.power_w);
+  EXPECT_EQ(into.reference_power_w, fresh.reference_power_w);
+  EXPECT_EQ(into.cost_rate_per_hour, fresh.cost_rate_per_hour);
+}
+
+TEST(ReferenceOracle, IntoAReusedSolutionMatchesAFreshOne) {
+  // One solution reused across problems of different IDC and portal
+  // counts, feasible or not: nothing of an earlier problem may survive
+  // into a later result.
+  Rng rng(46);
+  ReferenceSolution reused;
+  std::size_t reshaped = 0, infeasible = 0;
+  std::size_t last_n = 0, last_c = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const ReferenceProblem problem = random_problem(rng);
+    solve_reference_into(problem, reused);
+    const ReferenceSolution fresh = solve_reference(problem);
+    expect_same_solution(reused, fresh);
+    if (testing::Test::HasFailure()) return;
+    infeasible += fresh.feasible ? 0 : 1;
+    reshaped += problem.idcs.size() != last_n ||
+                        problem.portal_demands.size() != last_c
+                    ? 1
+                    : 0;
+    last_n = problem.idcs.size();
+    last_c = problem.portal_demands.size();
+  }
+  EXPECT_GT(reshaped, 300u);
+  EXPECT_GT(infeasible, 5u);
+}
+
 TEST(ReferenceOracle, PaperHourZeroSplitIsTheSimplexVertex) {
   // The published no-budget problem at hour 0: the northwest-corner
   // split is the vertex the simplex picks, so OptimalPolicy's warm start

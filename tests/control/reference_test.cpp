@@ -252,6 +252,31 @@ TEST(ReferenceOptimizer, NonFinitePriceNamesTheIdc) {
   }
 }
 
+TEST(ReferenceOptimizer, BadDemandNamesThePortalAndValue) {
+  // A NaN demand fails `>= 0` like a negative one; both are rejected up
+  // front with the portal and the value, not reported as "negative".
+  const struct {
+    double demand;
+    const char* shown;
+  } cases[] = {{std::numeric_limits<double>::quiet_NaN(), "is nan"},
+               {kInf, "is inf"},
+               {-5.0, "is -5"}};
+  for (const auto& bad : cases) {
+    auto problem = two_idc_problem();
+    problem.portal_demands[1] = bad.demand;
+    ReferenceSolution solution;
+    try {
+      solve_reference_into(problem, solution);
+      ADD_FAILURE() << "accepted demand " << bad.demand;
+    } catch (const InvalidArgument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("demand of portal 1"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad.shown), std::string::npos) << what;
+      EXPECT_EQ(what.find("negative demand"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(ReferenceOptimizer, PeakShadowUpliftScalesWithNegativePrices) {
   // Power-integral basis: the shadow uplift is per_rps x shadow on every
   // IDC, whatever the sign of its price. IDC 0's negative price makes

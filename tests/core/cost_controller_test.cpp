@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/paper.hpp"
 #include "core/policies.hpp"
 #include "datacenter/latency.hpp"
@@ -288,6 +290,91 @@ TEST(CostController, StepValidatesSizes) {
   EXPECT_THROW(controller.step(typed_prices({1.0}), typed_demands(paper::kPortalDemands)),
                InvalidArgument);
   EXPECT_THROW(controller.step(typed_prices({1.0, 1.0, 1.0}), typed_demands({1.0})), InvalidArgument);
+}
+
+void expect_same_decision(const CostController::Decision& into,
+                          const CostController::Decision& fresh) {
+  ASSERT_EQ(into.allocation.portals(), fresh.allocation.portals());
+  ASSERT_EQ(into.allocation.idcs(), fresh.allocation.idcs());
+  for (std::size_t i = 0; i < fresh.allocation.portals(); ++i) {
+    for (std::size_t j = 0; j < fresh.allocation.idcs(); ++j) {
+      EXPECT_EQ(into.allocation.at(i, j), fresh.allocation.at(i, j));
+    }
+  }
+  EXPECT_EQ(into.servers, fresh.servers);
+  EXPECT_EQ(into.reference.feasible, fresh.reference.feasible);
+  EXPECT_EQ(into.reference.idc_loads, fresh.reference.idc_loads);
+  EXPECT_EQ(into.reference.reference_power_w,
+            fresh.reference.reference_power_w);
+  EXPECT_EQ(into.reference.cost_rate_per_hour,
+            fresh.reference.cost_rate_per_hour);
+  EXPECT_EQ(into.mpc_status, fresh.mpc_status);
+  EXPECT_EQ(into.mpc_iterations, fresh.mpc_iterations);
+  EXPECT_EQ(into.mpc_warm_started, fresh.mpc_warm_started);
+  EXPECT_EQ(into.predicted_power_w, fresh.predicted_power_w);
+  EXPECT_EQ(into.predicted_demands, fresh.predicted_demands);
+  EXPECT_EQ(into.shed_fraction, fresh.shed_fraction);
+  EXPECT_EQ(into.fallback_tier, fresh.fallback_tier);
+  EXPECT_EQ(into.violations.size(), fresh.violations.size());
+  EXPECT_EQ(into.invariants.checks, fresh.invariants.checks);
+  EXPECT_EQ(into.invariants.by_kind, fresh.invariants.by_kind);
+  EXPECT_EQ(into.battery_w, fresh.battery_w);
+  EXPECT_EQ(into.battery_soc_j, fresh.battery_soc_j);
+  EXPECT_EQ(into.grid_power_w, fresh.grid_power_w);
+}
+
+TEST(CostController, StepIntoAReusedDecisionMatchesTheByValueStep) {
+  // Twin controllers, one stepped by value and one into a single reused
+  // Decision, through price previews, a degraded period, shedding and
+  // back: the reused decision must never carry a field over.
+  for (const auto backend :
+       {solvers::LsqBackend::kAdmm, solvers::LsqBackend::kCondensed}) {
+    Scenario scenario = paper::smoothing_scenario();
+    scenario.billing.demand_rate_per_kw = 15.0;
+    scenario.billing.cycle_hours = 24.0;
+    scenario.idcs[1].battery.capacity = units::from_mwh(2.0);
+    scenario.idcs[1].battery.max_charge_w = units::Watts{1.0e6};
+    scenario.idcs[1].battery.max_discharge_w = units::Watts{1.5e6};
+    scenario.controller.demand_charge_aware = true;
+    scenario.controller.predict_workload = true;
+    scenario.controller.reference_trajectory = true;
+    scenario.controller.allow_load_shedding = true;
+    scenario.controller.solver.backend = backend;
+    scenario.controller.solver.invariants.enabled = true;
+    CostController by_value(controller_config_from(scenario));
+    CostController reused(controller_config_from(scenario));
+    CostController::Decision decision;
+    std::vector<double> prices{49.90, 29.47, 77.97};
+    std::vector<double> demands = paper::kPortalDemands;
+    const std::vector<std::vector<units::PricePerMwh>> preview(
+        3, typed_prices({43.26, 30.26, 19.06}));
+    for (std::size_t k = 0; k < 30; ++k) {
+      SCOPED_TRACE(testing::Message() << "backend "
+                                      << static_cast<int>(backend) << " tick "
+                                      << k);
+      prices[1] = 29.47 + 6.0 * std::sin(0.3 * static_cast<double>(k));
+      for (std::size_t i = 0; i < demands.size(); ++i) {
+        demands[i] = paper::kPortalDemands[i] *
+                     (1.0 + 0.15 * std::sin(0.2 * static_cast<double>(k + i)));
+      }
+      if (k == 12) demands[0] = 3.0e5;  // beyond the fleet: shed
+      const auto p = typed_prices(prices);
+      const auto d = typed_demands(demands);
+      CostController::Decision fresh;
+      if (k == 8) {
+        fresh = by_value.step_degraded(p, d);
+        decision = reused.step_degraded(p, d);
+      } else if (k % 5 == 3) {
+        fresh = by_value.step(p, d, preview);
+        reused.step_into(p, d, preview, decision);
+      } else {
+        fresh = by_value.step(p, d);
+        reused.step_into(p, d, decision);
+      }
+      expect_same_decision(decision, fresh);
+      if (testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace

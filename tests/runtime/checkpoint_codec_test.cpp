@@ -130,6 +130,57 @@ TEST(CheckpointCodec, OutOfRangeIntegersAndWrappingMatrixShapesAreRejected) {
                InvalidArgument);
 }
 
+// Decoding `checkpoint`'s text (and validating it against `scenario`)
+// must throw InvalidArgument whose message contains `needle`.
+void expect_rejected(const RuntimeCheckpoint& checkpoint,
+                     const core::Scenario& scenario, const std::string& needle) {
+  const std::string text = dump_json(checkpoint.to_json());
+  try {
+    RuntimeCheckpoint::from_json(parse_json(text)).validate_for(scenario);
+    ADD_FAILURE() << "accepted a checkpoint that should fail on " << needle;
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(CheckpointCodec, HostilePredictorStateIsRejectedAtDecode) {
+  const core::Scenario scenario = hour_one_scenario();
+  const RuntimeCheckpoint& good = hour_one_checkpoint();
+  ASSERT_GE(good.controller.predictors.size(), 2u);
+  ASSERT_EQ(good.controller.predictors[1].history.size(), 2u);
+
+  // A negative sample in a full history would enter the AR regressor; in
+  // a short one it became the first resumed reference's demand.
+  RuntimeCheckpoint negative = good;
+  negative.controller.predictors[1].history[1] = -250.0;
+  expect_rejected(negative, scenario, "controller.predictors[1].history[1]");
+  negative.controller.predictors[1].history.resize(1);
+  negative.controller.predictors[1].history[0] = -1.0;
+  expect_rejected(negative, scenario, "controller.predictors[1].history[0]");
+
+  // theta and covariance of different orders.
+  RuntimeCheckpoint shapes = good;
+  shapes.controller.predictors[0].theta.push_back(0.5);
+  expect_rejected(shapes, scenario, "controller.predictors[0].covariance");
+
+  // A consistent estimator of another order than the scenario's ar_order.
+  RuntimeCheckpoint order = good;
+  auto& predictor = order.controller.predictors[0];
+  predictor.theta.assign(3, 0.1);
+  predictor.covariance = linalg::Matrix::identity(3);
+  expect_rejected(order, scenario, "controller.predictors[0].theta has order 3");
+
+  // More history than the order.
+  RuntimeCheckpoint history = good;
+  history.controller.predictors[2].history.push_back(10.0);
+  expect_rejected(history, scenario, "controller.predictors[2].history holds 3");
+
+  // The untouched checkpoint still decodes and validates.
+  RuntimeCheckpoint::from_json(parse_json(dump_json(good.to_json())))
+      .validate_for(scenario);
+}
+
 TEST(CheckpointCodec, MutatedCheckpointsRestoreOrThrowInvalidArgument) {
   const core::Scenario scenario = hour_one_scenario();
   const RuntimeCheckpoint& checkpoint = hour_one_checkpoint();
